@@ -21,6 +21,12 @@
 //! evicted — `pages_in == pages_resident + pages_evicted` after any
 //! operation sequence.
 //!
+//! Bookkeeping costs the work it does, not the state it holds: a touch
+//! hit, an eviction, and an insert are O(1), or O(log n) for pages of
+//! finished requests, because the victim order is kept by a recency
+//! list and an ordered set rather than found by a scan (see
+//! [`PagedKvCache`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +52,7 @@
 
 use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Page geometry and the HBM budget the cache may occupy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,32 +106,77 @@ pub struct KvStats {
     pub refaults: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PageMeta {
-    last_touch: u64,
-    finished: bool,
+/// Where one allocated page of a sequence currently is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    /// In DDR (or never brought in): touching it is a refault, or an
+    /// allocation at or above the sequence's high-water mark.
+    Evicted,
+    /// Resident and owned by a live request: linked into the recency list.
+    Live,
+    /// Resident and owned by a finished request: indexed in the finished
+    /// set.
+    Finished,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// A page's address inside the cache: `(sequence slot, page index)`.
+type PageRef = (u32, u32);
+
+#[derive(Debug, Clone, Copy)]
+struct Page {
+    residency: Residency,
+    last_touch: u64,
+    /// Recency-list neighbours; meaningful only while `Live`.
+    prev: Option<PageRef>,
+    next: Option<PageRef>,
+}
+
+const EVICTED_PAGE: Page = Page {
+    residency: Residency::Evicted,
+    last_touch: 0,
+    prev: None,
+    next: None,
+};
+
+#[derive(Debug, Clone)]
 struct SeqState {
-    /// Highest page index ever allocated for the sequence, exclusive —
-    /// a non-resident page below it is a refault, not an allocation.
-    high_water: u32,
-    finished: bool,
+    /// Every page the sequence ever allocated, indexed by page number;
+    /// the length is the high-water mark, so a non-resident page below
+    /// it is a refault, not an allocation.
+    pages: Vec<Page>,
 }
 
 /// A paged KV cache with cost-aware LRU eviction under an HBM budget.
 ///
-/// Deterministic by construction: pages live in ordered maps, the victim
-/// scan is a total order over `(evict-cost, last-touch, page key)`, and
-/// the logical clock advances once per touch.
+/// The victim order is the total order `(finished first, last touch,
+/// sequence, page)`, kept by two indexes instead of a scan:
+///
+/// - **Live** pages sit on an intrusive doubly-linked recency list.
+///   Every touch takes a strictly larger logical clock and visits one
+///   sequence's pages in ascending page order, so appending each touched
+///   page at the tail keeps the list sorted by `(last touch, sequence,
+///   page)` — its head is the live victim.
+/// - **Finished** pages sit in an ordered set keyed by `(last touch,
+///   (sequence, page))`. [`PagedKvCache::finish`] can retire pages
+///   touched long ago, so they need an ordered insert, not an append.
+///
+/// Each sequence's pages are indexed densely by page number, so a touch
+/// hit, an eviction, and an insert are O(1) — O(log n) when a finished
+/// page is involved. Sequences are found through one ordered map lookup
+/// per touch or finish.
 #[derive(Debug, Clone)]
 pub struct PagedKvCache {
     config: PagedKvConfig,
     capacity: u64,
-    /// Resident pages keyed by `(sequence, page index)`.
-    pages: BTreeMap<(u64, u32), PageMeta>,
-    seqs: BTreeMap<u64, SeqState>,
+    /// Sequence id → index into `seqs`.
+    slots: BTreeMap<u64, u32>,
+    seqs: Vec<SeqState>,
+    /// Oldest live page (the live victim) and newest live page.
+    live_head: Option<PageRef>,
+    live_tail: Option<PageRef>,
+    /// Resident pages of finished sequences, cheapest victim first.
+    finished: BTreeSet<(u64, (u64, u32))>,
+    resident: u64,
     clock: u64,
     stats: KvStats,
 }
@@ -145,8 +196,12 @@ impl PagedKvCache {
         PagedKvCache {
             config,
             capacity,
-            pages: BTreeMap::new(),
-            seqs: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            seqs: Vec::new(),
+            live_head: None,
+            live_tail: None,
+            finished: BTreeSet::new(),
+            resident: 0,
             clock: 0,
             stats: KvStats::default(),
         }
@@ -169,31 +224,65 @@ impl PagedKvCache {
 
     /// HBM bytes currently resident.
     pub fn resident_bytes(&self) -> Bytes {
-        self.config.page_bytes * self.pages.len() as u64
+        self.config.page_bytes * self.resident
     }
 
     /// Cumulative statistics (see [`KvStats`] for the conservation
     /// identity).
     pub fn stats(&self) -> KvStats {
         KvStats {
-            pages_resident: self.pages.len() as u64,
+            pages_resident: self.resident,
             ..self.stats
         }
+    }
+
+    fn page_mut(&mut self, (slot, page): PageRef) -> &mut Page {
+        &mut self.seqs[slot as usize].pages[page as usize]
+    }
+
+    /// Removes a live page from the recency list.
+    fn unlink(&mut self, at: PageRef) {
+        let Page { prev, next, .. } = *self.page_mut(at);
+        match prev {
+            Some(p) => self.page_mut(p).next = next,
+            None => self.live_head = next,
+        }
+        match next {
+            Some(n) => self.page_mut(n).prev = prev,
+            None => self.live_tail = prev,
+        }
+    }
+
+    /// Marks a page touched now and appends it at the newest end of the
+    /// recency list.
+    fn push_live(&mut self, at: PageRef) {
+        let (tail, clock) = (self.live_tail, self.clock);
+        let page = self.page_mut(at);
+        page.residency = Residency::Live;
+        page.last_touch = clock;
+        page.prev = tail;
+        page.next = None;
+        match tail {
+            Some(t) => self.page_mut(t).next = Some(at),
+            None => self.live_head = Some(at),
+        }
+        self.live_tail = Some(at);
     }
 
     /// Evicts the cheapest page: finished requests' pages first (their
     /// context is dead — dropping is free), then least-recently-touched,
     /// then lowest key. Returns false when nothing is resident.
     fn evict_one(&mut self) -> bool {
-        let victim = self
-            .pages
-            .iter()
-            .min_by_key(|(&key, meta)| (!meta.finished, meta.last_touch, key))
-            .map(|(&key, _)| key);
-        let Some(key) = victim else {
+        let victim = if let Some((_, (seq, page))) = self.finished.pop_first() {
+            (self.slots[&seq], page)
+        } else if let Some(head) = self.live_head {
+            self.unlink(head);
+            head
+        } else {
             return false;
         };
-        self.pages.remove(&key);
+        self.page_mut(victim).residency = Residency::Evicted;
+        self.resident -= 1;
         self.stats.pages_evicted += 1;
         true
     }
@@ -207,39 +296,50 @@ impl PagedKvCache {
     pub fn touch(&mut self, seq: u64, tokens: usize) -> KvTouch {
         self.clock += 1;
         let needed = self.pages_for(tokens);
-        let state = self.seqs.entry(seq).or_default();
-        state.finished = false;
-        let high_water = state.high_water;
-        state.high_water = state.high_water.max(needed);
+        let next_slot = self.seqs.len() as u32;
+        let slot = *self.slots.entry(seq).or_insert(next_slot);
+        if slot == next_slot {
+            self.seqs.push(SeqState { pages: Vec::new() });
+        }
+        let pages = &mut self.seqs[slot as usize].pages;
+        let high_water = pages.len() as u32;
+        if needed > high_water {
+            pages.resize(needed as usize, EVICTED_PAGE);
+        }
         let mut touch = KvTouch::default();
         for page in 0..needed {
-            if let Some(meta) = self.pages.get_mut(&(seq, page)) {
-                meta.last_touch = self.clock;
-                meta.finished = false;
-                continue;
-            }
-            // Not resident: a refault if it was allocated before, a
-            // fresh allocation otherwise. Either way it enters HBM.
-            if page < high_water {
-                touch.refaulted += 1;
-                self.stats.refaults += 1;
-            } else {
-                touch.allocated += 1;
-            }
-            while self.pages.len() as u64 >= self.capacity {
-                if !self.evict_one() {
-                    break;
+            let at = (slot, page);
+            let Page {
+                residency,
+                last_touch,
+                ..
+            } = *self.page_mut(at);
+            match residency {
+                Residency::Live => self.unlink(at),
+                Residency::Finished => {
+                    self.finished.remove(&(last_touch, (seq, page)));
                 }
-                touch.evicted += 1;
+                Residency::Evicted => {
+                    // Not resident: a refault if it was allocated before,
+                    // a fresh allocation otherwise. Either way it enters
+                    // HBM.
+                    if page < high_water {
+                        touch.refaulted += 1;
+                        self.stats.refaults += 1;
+                    } else {
+                        touch.allocated += 1;
+                    }
+                    while self.resident >= self.capacity {
+                        if !self.evict_one() {
+                            break;
+                        }
+                        touch.evicted += 1;
+                    }
+                    self.resident += 1;
+                    self.stats.pages_in += 1;
+                }
             }
-            self.pages.insert(
-                (seq, page),
-                PageMeta {
-                    last_touch: self.clock,
-                    finished: false,
-                },
-            );
-            self.stats.pages_in += 1;
+            self.push_live(at);
         }
         touch
     }
@@ -247,17 +347,20 @@ impl PagedKvCache {
     /// Marks a sequence finished: its resident pages stay until pressure
     /// evicts them, but they become the cheapest victims.
     pub fn finish(&mut self, seq: u64) {
-        if let Some(state) = self.seqs.get_mut(&seq) {
-            state.finished = true;
-        }
-        let keys: Vec<(u64, u32)> = self
-            .pages
-            .range((seq, 0)..=(seq, u32::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            if let Some(meta) = self.pages.get_mut(&k) {
-                meta.finished = true;
+        let Some(&slot) = self.slots.get(&seq) else {
+            return;
+        };
+        for page in 0..self.seqs[slot as usize].pages.len() as u32 {
+            let at = (slot, page);
+            let Page {
+                residency,
+                last_touch,
+                ..
+            } = *self.page_mut(at);
+            if residency == Residency::Live {
+                self.unlink(at);
+                self.page_mut(at).residency = Residency::Finished;
+                self.finished.insert((last_touch, (seq, page)));
             }
         }
     }
@@ -273,6 +376,17 @@ mod tests {
             page_tokens: 4,
             page_bytes: Bytes::from_mib(1),
             budget: Bytes::from_mib(capacity_pages),
+        })
+    }
+
+    /// Whether page `page` of sequence `seq` is in HBM, read off the
+    /// per-sequence page index.
+    fn resident(kv: &PagedKvCache, seq: u64, page: u32) -> bool {
+        kv.slots.get(&seq).is_some_and(|&slot| {
+            kv.seqs[slot as usize]
+                .pages
+                .get(page as usize)
+                .is_some_and(|p| p.residency != Residency::Evicted)
         })
     }
 
@@ -309,9 +423,9 @@ mod tests {
         // first even though seq 2's are older than this touch.
         let t = kv.touch(3, 8);
         assert_eq!(t.evicted, 2);
-        assert!(kv.pages.contains_key(&(2, 0)));
-        assert!(kv.pages.contains_key(&(2, 1)));
-        assert!(!kv.pages.contains_key(&(1, 0)));
+        assert!(resident(&kv, 2, 0));
+        assert!(resident(&kv, 2, 1));
+        assert!(!resident(&kv, 1, 0));
     }
 
     #[test]

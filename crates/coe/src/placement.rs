@@ -47,13 +47,16 @@
 use crate::kv::{KvStats, PagedKvCache, PagedKvConfig};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, TimeSecs};
-use std::collections::BTreeMap;
 
 /// Online router statistics, observed once per served wave.
 ///
 /// Everything downstream — prefetch candidates and placement plans — is
 /// derived from this accumulator, so its update rule is the policy
 /// layer's only coupling to the serving loop.
+///
+/// Co-activation counts live in a dense symmetric `n × n` matrix, so one
+/// expert's prediction reads one row instead of walking every pair. It
+/// costs `n² · 8` bytes: 176 KiB at the CoE's 150 experts.
 #[derive(Debug, Clone)]
 pub struct ExpertStats {
     alpha: f64,
@@ -61,7 +64,9 @@ pub struct ExpertStats {
     rate: Vec<f64>,
     gap_ewma: Vec<f64>,
     last_wave: Vec<Option<u64>>,
-    co: BTreeMap<(usize, usize), u64>,
+    /// Row-major `n × n`: `co[a * n + b]` waves routed both `a` and `b`.
+    /// Symmetric, with a zero diagonal.
+    co: Vec<u64>,
     waves: u64,
 }
 
@@ -81,7 +86,7 @@ impl ExpertStats {
             rate: vec![0.0; n_experts],
             gap_ewma: vec![0.0; n_experts],
             last_wave: vec![None; n_experts],
-            co: BTreeMap::new(),
+            co: vec![0; n_experts * n_experts],
             waves: 0,
         }
     }
@@ -128,9 +133,11 @@ impl ExpertStats {
             let x = if present { 1.0 } else { 0.0 };
             self.rate[e] = self.alpha * x + (1.0 - self.alpha) * self.rate[e];
         }
+        let n = self.hits.len();
         for (i, &a) in unique.iter().enumerate() {
             for &b in &unique[i + 1..] {
-                *self.co.entry((a, b)).or_insert(0) += 1;
+                self.co[a * n + b] += 1;
+                self.co[b * n + a] += 1;
             }
         }
     }
@@ -152,10 +159,15 @@ impl ExpertStats {
         self.gap_ewma[expert]
     }
 
-    /// Times `a` and `b` were routed in the same wave.
+    /// Times `a` and `b` were routed in the same wave (0 when `a == b`
+    /// or either index is out of range).
     pub fn co_activations(&self, a: usize, b: usize) -> u64 {
-        let key = (a.min(b), a.max(b));
-        self.co.get(&key).copied().unwrap_or(0)
+        let n = self.hits.len();
+        if a < n && b < n {
+            self.co[a * n + b]
+        } else {
+            0
+        }
     }
 
     /// Predicted probability that `expert` is routed next wave: its own
@@ -163,16 +175,13 @@ impl ExpertStats {
     /// `P(e | partner) · rate(partner)` over all partners it has fired
     /// with.
     pub fn predicted_probability(&self, expert: usize) -> f64 {
+        let n = self.hits.len();
         let mut p = self.rate[expert];
-        for (&(a, b), &count) in &self.co {
-            let partner = if a == expert {
-                b
-            } else if b == expert {
-                a
-            } else {
-                continue;
-            };
-            if self.hits[partner] > 0 {
+        let row = &self.co[expert * n..(expert + 1) * n];
+        for (partner, &count) in row.iter().enumerate() {
+            // A nonzero count means the partner was routed, so its hit
+            // count is nonzero too.
+            if count > 0 {
                 let conditional = count as f64 / self.hits[partner] as f64;
                 p = p.max(conditional * self.rate[partner]);
             }
@@ -560,6 +569,18 @@ mod tests {
         assert_eq!(stats.co_activations(3, 0), 2);
         assert_eq!(stats.co_activations(0, 1), 0);
         assert!((stats.interarrival(0) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn coactivation_query_out_of_range_or_diagonal_is_zero() {
+        let mut stats = ExpertStats::new(4, 0.5);
+        stats.observe_wave(&[0, 3, 9]);
+        assert_eq!(stats.co_activations(0, 3), 1);
+        assert_eq!(stats.co_activations(3, 3), 0, "diagonal");
+        assert_eq!(stats.co_activations(0, 4), 0, "one index past the end");
+        assert_eq!(stats.co_activations(9, 0), 0, "routed but untracked");
+        assert_eq!(stats.co_activations(usize::MAX, usize::MAX), 0);
+        assert_eq!(ExpertStats::new(0, 0.5).co_activations(0, 0), 0);
     }
 
     #[test]
