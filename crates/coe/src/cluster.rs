@@ -8,13 +8,12 @@
 
 use crate::expert::ExpertLibrary;
 use crate::lanes::{ParMode, RouteTable};
+use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, NodeSpec, Orchestration, TimeSecs};
-use sn_compiler::{Compiler, Executable, FusionPolicy};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, RetryPolicy};
 use sn_memsim::dma::{DmaEngine, Route};
-use sn_models::{build, Phase};
 use sn_profile::{BatchObservation, MachineProfile, SloConfig, SloSnapshot, SloTracker};
 use sn_runtime::coe::{CoeError, CoeRuntime, CoeRuntimeConfig, ModelBinary};
 use sn_runtime::executor::NodeExecutor;
@@ -171,8 +170,8 @@ pub struct CoeCluster {
     router: Router,
     runtimes: Vec<CoeRuntime>,
     executor: NodeExecutor,
-    prefill_exe: Executable,
-    decode_exe: Executable,
+    /// The shared expert program pair, compiled once per process.
+    programs: Arc<ExpertPrograms>,
     router_steps: f64,
     /// Current DDR home of each expert; starts round-robin and moves to a
     /// survivor when the home node fails.
@@ -214,12 +213,16 @@ pub struct CoeCluster {
 
 impl CoeCluster {
     /// Builds a cluster of `nodes` SN40L nodes and registers the library
-    /// round-robin across them.
+    /// round-robin across them. The expert programs come from
+    /// [`ExpertPrograms::shared`], so only the first cluster of a given
+    /// shape in a process pays the compile.
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`CoeError`] when a node's DDR cannot hold
-    /// its shard (the cluster is undersized).
+    /// [`CoeError::Compile`] when building or compiling the expert graphs
+    /// fails (e.g. `prompt_tokens == 0`); otherwise the underlying
+    /// [`CoeError`] when a node's DDR cannot hold its shard (the cluster
+    /// is undersized).
     ///
     /// # Panics
     ///
@@ -232,25 +235,13 @@ impl CoeCluster {
     ) -> Result<Self, CoeError> {
         assert!(nodes >= 1, "a cluster needs at least one node");
         let calib = Calibration::baseline();
-        let compiler = Compiler::new(node.socket.clone(), calib.clone());
-        let cfg = library.config().clone();
-        let prefill_graph =
-            build(&cfg, Phase::Prefill { prompt_tokens }, 1, node.sockets).expect("prefill builds");
-        let decode_graph = build(
-            &cfg,
-            Phase::Decode {
-                past_tokens: prompt_tokens,
-            },
-            1,
+        let programs = ExpertPrograms::shared(
+            &node.socket,
+            &calib,
+            library.config(),
+            prompt_tokens,
             node.sockets,
-        )
-        .expect("decode builds");
-        let prefill_exe = compiler
-            .compile(&prefill_graph, FusionPolicy::Spatial)
-            .expect("prefill compiles");
-        let decode_exe = compiler
-            .compile(&decode_graph, FusionPolicy::Spatial)
-            .expect("decode compiles");
+        )?;
         let mut runtimes: Vec<CoeRuntime> = (0..nodes)
             .map(|_| CoeRuntime::new(&node, CoeRuntimeConfig::default()))
             .collect();
@@ -269,8 +260,7 @@ impl CoeCluster {
             router: Router::new(0xc1a5fe2),
             runtimes,
             executor,
-            prefill_exe,
-            decode_exe,
+            programs,
             router_steps: calib.router_equiv_decode_steps,
             homes,
             replicas: vec![Vec::new(); n_experts],
@@ -477,11 +467,11 @@ impl CoeCluster {
     fn router_time(&self) -> TimeSecs {
         let prefill = self
             .executor
-            .run(&self.prefill_exe, Orchestration::Hardware)
+            .run(self.programs.prefill(), Orchestration::Hardware)
             .total;
         let step = self
             .executor
-            .run(&self.decode_exe, Orchestration::Hardware)
+            .run(self.programs.decode(), Orchestration::Hardware)
             .total;
         prefill + step * self.router_steps
     }
@@ -491,12 +481,12 @@ impl CoeCluster {
     fn unit_run_times(&self, output_tokens: usize) -> (TimeSecs, TimeSecs) {
         let prefill = self
             .executor
-            .run(&self.prefill_exe, Orchestration::Hardware)
+            .run(self.programs.prefill(), Orchestration::Hardware)
             .total;
         let decode = self
             .executor
             .run_decode_loop(
-                &self.decode_exe,
+                self.programs.decode(),
                 Orchestration::Hardware,
                 output_tokens.max(1),
             )
@@ -523,10 +513,14 @@ impl CoeCluster {
         let steps = output_tokens.max(1) as f64;
         let served: usize = report.prompts_per_node.iter().sum();
         let busy = report.prompts_per_node.iter().filter(|&&n| n > 0).count() as f64;
-        let run_traffic =
-            self.prefill_exe.total_traffic() + self.decode_exe.total_traffic().scale(steps);
-        let router_traffic = self.prefill_exe.total_traffic()
-            + self.decode_exe.total_traffic().scale(self.router_steps);
+        let run_traffic = self.programs.prefill().total_traffic()
+            + self.programs.decode().total_traffic().scale(steps);
+        let router_traffic = self.programs.prefill().total_traffic()
+            + self
+                .programs
+                .decode()
+                .total_traffic()
+                .scale(self.router_steps);
         let hbm_bytes = run_traffic.scale(served as f64) + router_traffic.scale(busy);
         let moved_experts = report.expert_misses + report.rehomed_experts;
         let ddr_bytes: Bytes = self.library.expert_bytes().scale(moved_experts as f64);

@@ -7,11 +7,11 @@
 //! optimistic assumptions (CUDA-graph launches, full HBM+host capacity
 //! available for weights).
 
+use crate::programs::{expert_graph, expert_phases, ExpertPrograms};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, DgxSpec, NodeSpec, Orchestration, TimeSecs};
 use sn_baseline::{GpuExecutor, LaunchMode};
-use sn_compiler::{Compiler, FusionPolicy};
-use sn_models::{build, Phase, TransformerConfig};
+use sn_models::TransformerConfig;
 use sn_runtime::executor::NodeExecutor;
 
 /// The three platforms of §VI-B.
@@ -86,59 +86,62 @@ struct PlatformCosts {
 
 impl ComparisonModel {
     /// Builds the model for a given prompt length, compiling/evaluating
-    /// the Llama2-7B expert on every platform once.
+    /// the Llama2-7B expert on every platform once (the SN40L programs
+    /// come from [`ExpertPrograms::shared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expert graphs cannot be built or compiled (e.g.
+    /// `prompt_tokens == 0`).
     pub fn new(prompt_tokens: usize) -> Self {
         let cfg = TransformerConfig::llama2_7b();
         let calib = Calibration::baseline();
         let expert_bytes = cfg.param_bytes();
-        let prefill_graph =
-            build(&cfg, Phase::Prefill { prompt_tokens }, 1, 8).expect("prefill builds");
-        let decode_graph = build(
-            &cfg,
-            Phase::Decode {
-                past_tokens: prompt_tokens,
-            },
-            1,
-            8,
-        )
-        .expect("decode builds");
+        let node = NodeSpec::sn40l_node();
 
         let mut platforms = Vec::new();
         // SN40L.
         {
-            let node = NodeSpec::sn40l_node();
-            let compiler = Compiler::new(node.socket.clone(), calib.clone());
-            let prefill_exe = compiler
-                .compile(&prefill_graph, FusionPolicy::Spatial)
-                .expect("prefill compiles");
-            let decode_exe = compiler
-                .compile(&decode_graph, FusionPolicy::Spatial)
-                .expect("decode compiles");
+            let programs =
+                ExpertPrograms::shared(&node.socket, &calib, &cfg, prompt_tokens, node.sockets)
+                    .unwrap_or_else(|e| panic!("{e}"));
             let exec = NodeExecutor::new(node.clone(), calib.clone());
             let hbm_reserve = Bytes::from_gib(48);
             let budget = node.hbm_capacity().saturating_sub(hbm_reserve);
             platforms.push((
                 Platform::Sn40l,
                 PlatformCosts {
-                    prefill: exec.run(&prefill_exe, Orchestration::Hardware).total,
-                    decode_step: exec.run(&decode_exe, Orchestration::Hardware).total,
+                    prefill: exec.run(programs.prefill(), Orchestration::Hardware).total,
+                    decode_step: exec.run(programs.decode(), Orchestration::Hardware).total,
                     switch_bw: node.model_switch_bandwidth(),
                     resident_experts: (budget.as_f64() / expert_bytes.as_f64()) as usize,
                     max_experts: (node.ddr_capacity().as_f64() / expert_bytes.as_f64()) as usize,
                 },
             ));
         }
-        // DGXs.
-        for (platform, dgx) in [
+        // DGXs, costed on the graphs themselves: one phase's graph at a
+        // time, and only after the SN40L compile, so no two are live at
+        // once.
+        let dgxs = [
             (Platform::DgxA100, DgxSpec::dgx_a100()),
             (Platform::DgxH100, DgxSpec::dgx_h100()),
-        ] {
-            let exec = GpuExecutor::new(dgx.clone(), calib.clone());
+        ];
+        let execs = dgxs
+            .each_ref()
+            .map(|(_, dgx)| GpuExecutor::new(dgx.clone(), calib.clone()));
+        let [prefill, decode] = expert_phases(prompt_tokens).map(|(stage, phase)| {
+            let graph =
+                expert_graph(&cfg, stage, phase, node.sockets).unwrap_or_else(|e| panic!("{e}"));
+            execs
+                .each_ref()
+                .map(|exec| exec.run(&graph, LaunchMode::CudaGraph).total)
+        });
+        for (i, (platform, dgx)) in dgxs.into_iter().enumerate() {
             platforms.push((
                 platform,
                 PlatformCosts {
-                    prefill: exec.run(&prefill_graph, LaunchMode::CudaGraph).total,
-                    decode_step: exec.run(&decode_graph, LaunchMode::CudaGraph).total,
+                    prefill: prefill[i],
+                    decode_step: decode[i],
                     switch_bw: dgx.model_switch_bandwidth(),
                     resident_experts: (dgx.hbm_for_experts().as_f64() / expert_bytes.as_f64())
                         as usize,

@@ -22,7 +22,9 @@
 //!   DDR→HBM prefetch at wave boundaries, hot-expert replication, and
 //!   cold-expert spreading (PR 7);
 //! - [`kv`]: a paged KV cache with cost-aware LRU eviction under the
-//!   HBM budget shared with expert weights.
+//!   HBM budget shared with expert weights;
+//! - [`programs`]: the shared expert architecture's compiled prefill /
+//!   decode pair, memoized once per process.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod generation;
 pub mod kv;
 pub mod lanes;
 pub mod placement;
+pub mod programs;
 pub mod router;
 pub mod scheduler;
 pub mod serving;
@@ -63,6 +66,7 @@ pub use placement::{
     ExpertStats, PlacementPlan, PlacementPolicy, PlacementView, PolicyConfig, PolicyReport,
     PrefetchPolicy, ServingPolicies,
 };
+pub use programs::ExpertPrograms;
 pub use router::{Domain, Prompt, PromptGenerator, Router};
 pub use scheduler::{
     ArrivalPattern, ArrivalProcess, OnlineReport, OnlineRequest, RequestRecord, SchedulerConfig,

@@ -485,7 +485,7 @@ impl SambaCoeNode {
         // of re-running the executor twice per wave.
         let (prefill_unit, decode_unit) = self.unit_run_times(output_tokens);
         let run = prefill_unit + decode_unit;
-        let one_step = self.executor.run(&self.decode_exe, self.orch);
+        let one_step = self.executor.run(self.programs.decode(), self.orch);
         let step_cost = one_step.exec + one_step.launch;
         let program_load = one_step.program_load;
         let router_once = self.router_time();

@@ -9,12 +9,11 @@
 
 use crate::expert::ExpertLibrary;
 use crate::lanes::RouteTable;
+use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, Flops, NodeSpec, Orchestration, TimeSecs};
-use sn_compiler::{Compiler, Executable, FusionPolicy};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, Recovery, RetryPolicy};
-use sn_models::{build, Phase};
 use sn_profile::{
     BatchObservation, MachineProfile, PhaseKind, PhaseSample, ServeAttribution, SloConfig,
     SloSnapshot, SloTracker,
@@ -89,8 +88,8 @@ pub struct SambaCoeNode {
     pub(crate) router: Router,
     pub(crate) runtime: CoeRuntime,
     pub(crate) executor: NodeExecutor,
-    pub(crate) prefill_exe: Executable,
-    pub(crate) decode_exe: Executable,
+    /// The shared expert program pair, compiled once per process.
+    pub(crate) programs: Arc<ExpertPrograms>,
     pub(crate) orch: Orchestration,
     pub(crate) calib: Calibration,
     pub(crate) faults: Option<Arc<FaultPlan>>,
@@ -105,45 +104,30 @@ pub struct SambaCoeNode {
 }
 
 impl SambaCoeNode {
-    /// Compiles the (shared) expert architecture and registers the whole
-    /// library into node DDR.
+    /// Compiles the (shared) expert architecture — once per process, via
+    /// [`ExpertPrograms::shared`] — and registers the whole library into
+    /// node DDR.
     ///
     /// # Errors
     ///
     /// [`CoeError::Compile`] when building or compiling the expert graphs
-    /// fails; [`CoeError::DdrFull`] (or any other registration error) when
-    /// the library does not fit node DDR — deployments are expected to be
-    /// sized with [`crate::comparison`] first.
+    /// fails (e.g. `prompt_tokens == 0`); [`CoeError::DdrFull`] (or any
+    /// other registration error) when the library does not fit node DDR —
+    /// deployments are expected to be sized with [`crate::comparison`]
+    /// first.
     pub fn try_new(
         node: NodeSpec,
         library: ExpertLibrary,
         prompt_tokens: usize,
     ) -> Result<Self, CoeError> {
         let calib = Calibration::baseline();
-        let compiler = Compiler::new(node.socket.clone(), calib.clone());
-        let tp = node.sockets;
-        let cfg = library.config().clone();
-        let compile_err = |stage: &str, reason: String| CoeError::Compile {
-            model: stage.to_string(),
-            reason,
-        };
-        let prefill_graph = build(&cfg, Phase::Prefill { prompt_tokens }, 1, tp)
-            .map_err(|e| compile_err("expert prefill graph", e.to_string()))?;
-        let decode_graph = build(
-            &cfg,
-            Phase::Decode {
-                past_tokens: prompt_tokens,
-            },
-            1,
-            tp,
-        )
-        .map_err(|e| compile_err("expert decode graph", e.to_string()))?;
-        let prefill_exe = compiler
-            .compile(&prefill_graph, FusionPolicy::Spatial)
-            .map_err(|e| compile_err("expert prefill executable", e.to_string()))?;
-        let decode_exe = compiler
-            .compile(&decode_graph, FusionPolicy::Spatial)
-            .map_err(|e| compile_err("expert decode executable", e.to_string()))?;
+        let programs = ExpertPrograms::shared(
+            &node.socket,
+            &calib,
+            library.config(),
+            prompt_tokens,
+            node.sockets,
+        )?;
         let mut runtime = CoeRuntime::new(&node, CoeRuntimeConfig::default());
         for e in library.experts() {
             runtime.register(ModelBinary::weights_only(
@@ -157,8 +141,7 @@ impl SambaCoeNode {
             router: Router::new(0x5a17ba),
             runtime,
             executor,
-            prefill_exe,
-            decode_exe,
+            programs,
             orch: Orchestration::Hardware,
             calib,
             faults: None,
@@ -256,10 +239,10 @@ impl SambaCoeNode {
     /// decode loop). The prefill part alone is the first-token boundary
     /// the SLO layer's TTFT builds on.
     pub(crate) fn unit_run_times(&self, output_tokens: usize) -> (TimeSecs, TimeSecs) {
-        let prefill = self.executor.run(&self.prefill_exe, self.orch).total;
+        let prefill = self.executor.run(self.programs.prefill(), self.orch).total;
         let decode = self
             .executor
-            .run_decode_loop(&self.decode_exe, self.orch, output_tokens.max(1))
+            .run_decode_loop(self.programs.decode(), self.orch, output_tokens.max(1))
             .total;
         (prefill, decode)
     }
@@ -268,8 +251,8 @@ impl SambaCoeNode {
     /// to emit the classification (calibrated in
     /// [`Calibration::router_equiv_decode_steps`]).
     pub(crate) fn router_time(&self) -> TimeSecs {
-        let prefill = self.executor.run(&self.prefill_exe, self.orch).total;
-        let step = self.executor.run(&self.decode_exe, self.orch).total;
+        let prefill = self.executor.run(self.programs.prefill(), self.orch).total;
+        let step = self.executor.run(self.programs.decode(), self.orch).total;
         prefill + step * self.calib.router_equiv_decode_steps
     }
 
@@ -283,12 +266,12 @@ impl SambaCoeNode {
     pub fn phase_samples(&self, report: &ServeReport, output_tokens: usize) -> Vec<PhaseSample> {
         let steps = output_tokens.max(1) as f64;
         let n = report.assignments.len() as f64;
-        let prefill_traffic = self.prefill_exe.total_traffic();
-        let prefill_flops = self.prefill_exe.total_flops();
-        let decode_traffic = self.decode_exe.total_traffic().scale(steps);
-        let decode_flops = self.decode_exe.total_flops() * steps;
-        let prefill_pure = self.prefill_exe.execution_time().as_secs();
-        let decode_pure = self.decode_exe.execution_time().as_secs() * steps;
+        let prefill_traffic = self.programs.prefill().total_traffic();
+        let prefill_flops = self.programs.prefill().total_flops();
+        let decode_traffic = self.programs.decode().total_traffic().scale(steps);
+        let decode_flops = self.programs.decode().total_flops() * steps;
+        let prefill_pure = self.programs.prefill().execution_time().as_secs();
+        let decode_pure = self.programs.decode().execution_time().as_secs() * steps;
         let unit_pure = prefill_pure + decode_pure;
         let prefill_share = if unit_pure > 0.0 {
             prefill_pure / unit_pure
@@ -306,8 +289,9 @@ impl SambaCoeNode {
             PhaseSample {
                 kind: PhaseKind::Router,
                 time: report.router,
-                flops: prefill_flops + self.decode_exe.total_flops() * router_steps,
-                hbm_bytes: prefill_traffic + self.decode_exe.total_traffic().scale(router_steps),
+                flops: prefill_flops + self.programs.decode().total_flops() * router_steps,
+                hbm_bytes: prefill_traffic
+                    + self.programs.decode().total_traffic().scale(router_steps),
                 ddr_bytes: Bytes::ZERO,
             },
             PhaseSample {

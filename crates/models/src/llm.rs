@@ -59,8 +59,11 @@ impl Phase {
 ///
 /// # Errors
 ///
-/// Propagates [`GraphError`] (which indicates a bug in the builder or an
-/// inconsistent config, e.g. `tp` not dividing the head counts evenly).
+/// [`GraphError::Shape`] when the phase moves no tokens or sees no
+/// context (zero `batch`, a zero-token prompt or training sequence, a
+/// zero sliding window); otherwise propagates [`GraphError`] (which
+/// indicates a bug in the builder or an inconsistent config, e.g. `tp`
+/// not dividing the head counts evenly).
 ///
 /// # Panics
 ///
@@ -71,6 +74,15 @@ pub fn build(
     batch: usize,
     tp: usize,
 ) -> Result<Graph, GraphError> {
+    let context = cfg
+        .sliding_window
+        .map_or(phase.context(), |w| phase.context().min(w));
+    if batch * phase.tokens_per_seq() == 0 || context == 0 {
+        return Err(GraphError::Shape(format!(
+            "{}: {phase:?} at batch {batch} has no tokens to lower",
+            cfg.name
+        )));
+    }
     assert!(tp >= 1, "tensor parallel degree must be at least 1");
     assert_eq!(
         cfg.heads % tp,
@@ -790,6 +802,28 @@ mod tests {
         dense.weight_density = 1.0;
         let gd = build(&dense, Phase::Train { seq: 2048 }, 1, 8).unwrap();
         assert!(g.total_flops() < gd.total_flops());
+    }
+
+    #[test]
+    fn zero_token_phases_are_errors_not_panics() {
+        let cfg = TransformerConfig::llama2_7b();
+        for (phase, batch) in [
+            (Phase::Prefill { prompt_tokens: 0 }, 1),
+            (Phase::Train { seq: 0 }, 1),
+            (Phase::Decode { past_tokens: 64 }, 0),
+        ] {
+            assert!(
+                matches!(build(&cfg, phase, batch, 8), Err(GraphError::Shape(_))),
+                "{phase:?} at batch {batch}"
+            );
+        }
+        let mut windowless = cfg.clone();
+        windowless.sliding_window = Some(0);
+        assert!(build(&windowless, Phase::Prefill { prompt_tokens: 8 }, 1, 8).is_err());
+        // A decode step against an empty KV cache still attends to its own
+        // token: a one-key context, not a zero dimension.
+        let g = build(&cfg, Phase::Decode { past_tokens: 0 }, 1, 8).unwrap();
+        assert!(g.total_flops().as_f64() > 0.0);
     }
 }
 

@@ -5,6 +5,7 @@ use sn_arch::{Calibration, NodeSpec, Orchestration, TimeSecs};
 use sn_compiler::Executable;
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, Recovery, RetryError, RetryPolicy};
 use sn_trace::{ArgValue, Counter, Metric, Tracer, Track};
+use std::fmt;
 use std::sync::Arc;
 
 /// Timing breakdown of one execution.
@@ -134,8 +135,9 @@ impl NodeExecutor {
     }
 
     /// Records one completed run into the attached tracer (no-op when
-    /// tracing is disabled).
-    fn trace_run(&self, name: &str, report: &ExecutionReport) {
+    /// tracing is disabled). The span name is formatted only when
+    /// recording, so untraced runs never allocate it.
+    fn trace_run(&self, name: fmt::Arguments<'_>, report: &ExecutionReport) {
         if !self.tracer.is_enabled() {
             return;
         }
@@ -146,7 +148,7 @@ impl NodeExecutor {
         self.tracer.observe(Metric::KernelRun, report.total);
         self.tracer.span(
             Track::Runtime,
-            name,
+            name.to_string(),
             report.total,
             &[
                 ("launches", ArgValue::from(report.launches)),
@@ -167,7 +169,7 @@ impl NodeExecutor {
     /// Runs the executable once under the given orchestration.
     pub fn run(&self, exe: &Executable, orch: Orchestration) -> ExecutionReport {
         let report = self.run_untraced(exe, orch);
-        self.trace_run(&format!("run:{orch:?}"), &report);
+        self.trace_run(format_args!("run:{orch:?}"), &report);
         report
     }
 
@@ -190,7 +192,7 @@ impl NodeExecutor {
             launches: one.launches * steps,
             distinct_programs: one.distinct_programs,
         };
-        self.trace_run(&format!("decode-loop:{steps}x"), &report);
+        self.trace_run(format_args!("decode-loop:{steps}x"), &report);
         report
     }
 
