@@ -75,14 +75,9 @@ pub fn estimate_kernel(
         .iter()
         .flat_map(|&n| {
             let node = graph.node(n);
-            node.inputs
-                .iter()
-                .map(|&t| tile_count(&graph.tensor(t).shape))
-                .chain(std::iter::once(tile_count(
-                    &graph.tensor(node.output).shape,
-                )))
-                .collect::<Vec<_>>()
+            node.inputs.iter().chain(std::iter::once(&node.output))
         })
+        .map(|&t| tile_count(&graph.tensor(t).shape))
         .max()
         .unwrap_or(1)
         .max(1);

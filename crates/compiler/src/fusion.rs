@@ -8,7 +8,7 @@
 //! reuse one kernel program, which is what lets hardware orchestration run
 //! a whole decoder with near-zero launch overhead (§VI-B).
 
-use crate::resources::ResourceModel;
+use crate::resources::{KernelResources, ResourceModel};
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
 use sn_dataflow::intensity::KernelPartition;
@@ -36,8 +36,11 @@ pub fn partition(
     model: &ResourceModel,
 ) -> Result<KernelPartition, CompileError> {
     // Validate individual operators first: they must fit even unfused.
-    for nid in graph.node_ids() {
-        let r = model.node_resources(graph, nid);
+    let resources: Vec<KernelResources> = graph
+        .node_ids()
+        .map(|nid| model.node_resources(graph, nid))
+        .collect();
+    for (nid, &r) in graph.node_ids().zip(&resources) {
         if !model.fits(r) {
             let n = graph.node(nid);
             return Err(CompileError::OperatorTooLarge {
@@ -49,24 +52,32 @@ pub fn partition(
     }
     match policy {
         FusionPolicy::Unfused => Ok(graph.node_ids().map(|n| vec![n]).collect()),
-        FusionPolicy::Spatial => Ok(spatial_partition(graph, model)),
+        FusionPolicy::Spatial => Ok(spatial_partition(graph, model, &resources)),
     }
 }
 
-fn spatial_partition(graph: &Graph, model: &ResourceModel) -> KernelPartition {
+/// `resources[i]` is node `i`'s own need. The current kernel's need is kept
+/// as a running sum: [`KernelResources::combine`] is a component-wise add,
+/// so this equals [`ResourceModel::kernel_resources`] over the kernel.
+fn spatial_partition(
+    graph: &Graph,
+    model: &ResourceModel,
+    resources: &[KernelResources],
+) -> KernelPartition {
     let mut kernels: KernelPartition = Vec::new();
     let mut current: Vec<NodeId> = Vec::new();
     let mut current_region: Option<u32> = None;
-    for nid in graph.node_ids() {
+    let mut used = KernelResources::default();
+    for (nid, &r) in graph.node_ids().zip(resources) {
         let region = graph.node(nid).region;
-        let region_break = current_region.is_some_and(|r| r != region);
-        let mut candidate = current.clone();
-        candidate.push(nid);
-        let fits = model.fits(model.kernel_resources(graph, &candidate));
+        let region_break = current_region.is_some_and(|cr| cr != region);
+        let fits = model.fits(used.combine(r));
         if (region_break || !fits) && !current.is_empty() {
             kernels.push(std::mem::take(&mut current));
+            used = KernelResources::default();
         }
         current.push(nid);
+        used = used.combine(r);
         current_region = Some(region);
     }
     if !current.is_empty() {

@@ -11,8 +11,7 @@
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, SocketSpec};
 use sn_dataflow::{Graph, TensorId, TensorKind};
-use sn_memsim::{MemoryTier, RegionAllocator};
-use std::collections::{HashMap, HashSet};
+use sn_memsim::{MemoryTier, Region, RegionAllocator};
 
 use crate::executable::Kernel;
 
@@ -116,27 +115,40 @@ pub fn plan_with_policy(
     policy: SpillPolicy,
 ) -> MemoryPlan {
     let n_kernels = kernels.len();
-    // Which kernel produces / consumes each tensor.
-    let mut producer_kernel: HashMap<TensorId, usize> = HashMap::new();
-    let mut consumer_kernels: HashMap<TensorId, Vec<usize>> = HashMap::new();
+    let span = n_kernels.max(1);
+    // Which kernel runs each node.
+    let mut kernel_of = vec![usize::MAX; graph.node_count()];
     for (ki, k) in kernels.iter().enumerate() {
-        let inside: HashSet<_> = k.nodes.iter().copied().collect();
+        for &nid in &k.nodes {
+            kernel_of[nid.index()] = ki;
+        }
+    }
+    // Per tensor: the kernel that writes it for use outside itself, and
+    // `(reads, last reader)` over the kernels that read it from outside.
+    // Kernels are visited in order, so the last reader is the latest.
+    let n_tensors = graph.tensors().len();
+    let mut producer_kernel: Vec<Option<usize>> = vec![None; n_tensors];
+    let mut consumed: Vec<(usize, usize)> = vec![(0, 0); n_tensors];
+    for (ki, k) in kernels.iter().enumerate() {
         for &nid in &k.nodes {
             let node = graph.node(nid);
             for &t in &node.inputs {
                 let produced_inside = graph
                     .producer(t)
-                    .map(|p| inside.contains(&p))
-                    .unwrap_or(false);
+                    .is_some_and(|p| kernel_of[p.index()] == ki);
                 if !produced_inside {
-                    consumer_kernels.entry(t).or_default().push(ki);
+                    let c = &mut consumed[t.index()];
+                    *c = (c.0 + 1, ki);
                 }
             }
             let out = node.output;
             let escapes = graph.tensor(out).kind == TensorKind::Output
-                || graph.consumers(out).iter().any(|c| !inside.contains(c));
+                || graph
+                    .consumers(out)
+                    .iter()
+                    .any(|c| kernel_of[c.index()] != ki);
             if escapes {
-                producer_kernel.insert(out, ki);
+                producer_kernel[out.index()] = Some(ki);
             }
         }
     }
@@ -149,9 +161,9 @@ pub fn plan_with_policy(
         if !def.is_offchip() {
             continue;
         }
-        let produced = producer_kernel.get(&t).copied();
-        let consumed = consumer_kernels.get(&t);
-        if produced.is_none() && consumed.is_none() {
+        let produced = producer_kernel[t.index()];
+        let (reads, last_read) = consumed[t.index()];
+        if produced.is_none() && reads == 0 {
             continue;
         }
         // Weights/inputs live from program start; outputs live to the end.
@@ -167,11 +179,10 @@ pub fn plan_with_policy(
             TensorKind::Output | TensorKind::KvCache | TensorKind::Weight => {
                 n_kernels.saturating_sub(1)
             }
-            _ => consumed
-                .map(|v| v.iter().copied().max().expect("non-empty"))
-                .unwrap_or(start),
+            _ if reads > 0 => last_read,
+            _ => start,
         };
-        let crossings = 1 + consumed.map(|v| v.len()).unwrap_or(0);
+        let crossings = 1 + reads;
         let reuse = match def.kind {
             TensorKind::Weight | TensorKind::Metadata | TensorKind::KvCache => PERSISTENT_REUSE,
             _ => 1,
@@ -190,27 +201,9 @@ pub fn plan_with_policy(
     // while it exceeds the budget, spill the cheapest symbol (activations
     // before weights, then by smallest aggregate transfer size — §V-A).
     let budget = socket.hbm.capacity;
-    // (peak bytes, kernel index where the peak occurs)
-    let peak_of = |syms: &[SymbolPlacement]| -> (Bytes, usize) {
-        let mut peak = Bytes::ZERO;
-        let mut at = 0;
-        for k in 0..n_kernels.max(1) {
-            let live: Bytes = syms
-                .iter()
-                .filter(|s| s.tier == MemoryTier::Hbm)
-                .filter(|s| s.lifetime.0 <= k && k <= s.lifetime.1)
-                .map(|s| s.bytes)
-                .sum();
-            if live > peak {
-                peak = live;
-                at = k;
-            }
-        }
-        (peak, at)
-    };
     let mut spilled = Vec::new();
     loop {
-        let (peak, at) = peak_of(&symbols);
+        let (peak, at) = peak_of(&symbols, span);
         if peak <= budget || budget == Bytes::ZERO {
             break;
         }
@@ -254,7 +247,12 @@ pub fn plan_with_policy(
     }
 
     // Address assignment with static GC: sweep kernels in order; free dead
-    // symbols before allocating new ones so addresses get reused.
+    // symbols before allocating new ones so addresses get reused. Each
+    // region waits in the bucket of its last kernel and is freed when the
+    // next kernel starts. The order of frees within one kernel cannot move
+    // an offset: `RegionAllocator::free` coalesces neighbours, so its
+    // sorted free list is always the unique set of maximal free extents,
+    // whatever order the same regions were returned in.
     for tier in [MemoryTier::Hbm, MemoryTier::Ddr] {
         let capacity = match tier {
             MemoryTier::Hbm => socket.hbm.capacity,
@@ -264,35 +262,29 @@ pub fn plan_with_policy(
             continue;
         }
         let mut alloc = RegionAllocator::new(tier, capacity);
-        let mut live: Vec<(usize, sn_memsim::Region)> = Vec::new(); // (symbol idx, region)
+        let mut ending: Vec<Vec<Region>> = vec![Vec::new(); span];
         let mut order: Vec<usize> = (0..symbols.len())
             .filter(|&i| symbols[i].tier == tier)
             .collect();
         order.sort_by_key(|&i| symbols[i].lifetime.0);
         let mut oi = 0;
-        for k in 0..n_kernels.max(1) {
-            // Free symbols whose lifetime ended before this kernel.
-            let mut j = 0;
-            while j < live.len() {
-                let (si, region) = live[j];
-                if symbols[si].lifetime.1 < k {
+        for k in 0..span {
+            if k > 0 {
+                for region in std::mem::take(&mut ending[k - 1]) {
                     alloc.free(region).expect("region was allocated");
-                    live.swap_remove(j);
-                } else {
-                    j += 1;
                 }
             }
             while oi < order.len() && symbols[order[oi]].lifetime.0 == k {
-                let si = order[oi];
+                let s = &mut symbols[order[oi]];
                 // If the tier overflows even after GC, fall back to a
                 // virtual address past capacity (flagged by peak stats).
-                match alloc.alloc(symbols[si].bytes) {
+                match alloc.alloc(s.bytes) {
                     Ok(region) => {
-                        symbols[si].offset = region.offset;
-                        live.push((si, region));
+                        s.offset = region.offset;
+                        ending[s.lifetime.1].push(region);
                     }
                     Err(_) => {
-                        symbols[si].offset = u64::MAX;
+                        s.offset = u64::MAX;
                     }
                 }
                 oi += 1;
@@ -300,12 +292,35 @@ pub fn plan_with_policy(
         }
     }
 
-    let (hbm_peak, _) = peak_of(&symbols);
+    let (hbm_peak, _) = peak_of(&symbols, span);
     MemoryPlan {
         placements: symbols,
         hbm_peak,
         spilled,
     }
+}
+
+/// Peak concurrent HBM bytes over kernels `0..span`, and the first kernel
+/// index where it occurs. A sweep line: each symbol adds its bytes at its
+/// first kernel and removes them after its last, so one prefix sum gives
+/// every kernel's live total in O(kernels + symbols).
+fn peak_of(symbols: &[SymbolPlacement], span: usize) -> (Bytes, usize) {
+    let mut starts = vec![Bytes::ZERO; span];
+    let mut ends = vec![Bytes::ZERO; span];
+    for s in symbols.iter().filter(|s| s.tier == MemoryTier::Hbm) {
+        starts[s.lifetime.0] += s.bytes;
+        ends[s.lifetime.1] += s.bytes;
+    }
+    let (mut live, mut peak, mut at) = (Bytes::ZERO, Bytes::ZERO, 0);
+    for k in 0..span {
+        live += starts[k];
+        if live > peak {
+            peak = live;
+            at = k;
+        }
+        live -= ends[k];
+    }
+    (peak, at)
 }
 
 #[cfg(test)]

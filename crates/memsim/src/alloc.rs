@@ -175,13 +175,14 @@ impl RegionAllocator {
         if region.tier != self.tier {
             return Err(AllocError::UnknownRegion(region));
         }
-        let key = (region.offset, region.size.as_u64());
-        let pos = self.live.iter().position(|&e| e == key);
-        let Some(pos) = pos else {
-            return Err(AllocError::UnknownRegion(region));
-        };
-        self.live.remove(pos);
-        let (off, size) = key;
+        // `live` is sorted by offset and live offsets are unique.
+        let (off, size) = (region.offset, region.size.as_u64());
+        match self.live.binary_search_by_key(&off, |&(o, _)| o) {
+            Ok(pos) if self.live[pos].1 == size => {
+                self.live.remove(pos);
+            }
+            _ => return Err(AllocError::UnknownRegion(region)),
+        }
         let i = self.free_list.partition_point(|&(o, _)| o < off);
         self.free_list.insert(i, (off, size));
         // Coalesce with successor, then predecessor.
@@ -291,6 +292,32 @@ mod tests {
         let r = alloc_kib(&mut a, 8);
         a.free(r).unwrap();
         assert!(matches!(a.free(r), Err(AllocError::UnknownRegion(_))));
+    }
+
+    #[test]
+    fn wrong_size_free_rejected() {
+        let mut a = RegionAllocator::new(MemoryTier::Hbm, Bytes::from_kib(32));
+        let r = alloc_kib(&mut a, 8);
+        let short = Region {
+            size: Bytes::from_kib(4),
+            ..r
+        };
+        assert!(matches!(a.free(short), Err(AllocError::UnknownRegion(_))));
+        assert_eq!(a.used_bytes(), Bytes::from_kib(8), "nothing was freed");
+        a.free(r).unwrap();
+    }
+
+    #[test]
+    fn foreign_tier_free_rejected() {
+        let mut a = RegionAllocator::new(MemoryTier::Hbm, Bytes::from_kib(32));
+        let r = alloc_kib(&mut a, 8);
+        let foreign = Region {
+            tier: MemoryTier::Ddr,
+            ..r
+        };
+        assert!(matches!(a.free(foreign), Err(AllocError::UnknownRegion(_))));
+        assert_eq!(a.used_bytes(), Bytes::from_kib(8), "nothing was freed");
+        a.free(r).unwrap();
     }
 
     #[test]
