@@ -617,6 +617,103 @@ struct Pending {
     preemptions: u32,
 }
 
+/// Shed reasons in discriminant order: [`ClassTally::shed`] positions.
+const SHED_REASONS: [ShedReason; 4] = [
+    ShedReason::RateLimited,
+    ShedReason::QueueFull,
+    ShedReason::TimedOut,
+    ShedReason::CapacityLost,
+];
+/// Classes in discriminant order: a tenant's [`WaveTally`] cells.
+const CLASSES: [SloClass; 2] = [SloClass::Interactive, SloClass::Batch];
+
+/// One (tenant, class)'s outcomes within a wave.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassTally {
+    completions: u32,
+    /// Every outcome: completions and sheds.
+    slo_total: u32,
+    /// Late completions and sheds.
+    slo_bad: u32,
+    /// Sheds by reason.
+    shed: [u32; SHED_REASONS.len()],
+}
+
+/// One wave's observability counter deltas, accumulated locally and
+/// handed to [`Obs::add`] once per touched series just before the wave
+/// closes. Exact: the registry reads pending deltas only at
+/// `end_wave`, and the deltas are integer counts, so one add of `n`
+/// leaves the same bits as `n` adds of 1 in the same wave.
+struct WaveTally {
+    /// Indexed by `tenant * 2 + class`.
+    cells: Vec<ClassTally>,
+}
+
+impl WaveTally {
+    fn new(tenants: usize) -> Self {
+        WaveTally {
+            cells: vec![ClassTally::default(); tenants * CLASSES.len()],
+        }
+    }
+
+    fn cell(&mut self, tenant: usize, class: SloClass) -> &mut ClassTally {
+        &mut self.cells[tenant * CLASSES.len() + class as usize]
+    }
+
+    fn complete(&mut self, tenant: usize, class: SloClass, late: bool) {
+        let cell = self.cell(tenant, class);
+        cell.completions += 1;
+        cell.slo_total += 1;
+        cell.slo_bad += u32::from(late);
+    }
+
+    /// A shed burns SLO budget: a request the platform lost is a bad
+    /// outcome for its tenant's error budget.
+    fn shed(&mut self, tenant: usize, class: SloClass, reason: ShedReason) {
+        let cell = self.cell(tenant, class);
+        cell.slo_total += 1;
+        cell.slo_bad += 1;
+        cell.shed[reason as usize] += 1;
+    }
+
+    /// Adds every non-zero delta to `obs` and clears the tally.
+    fn flush(&mut self, obs: &Obs, tenants: &[TenantSpec]) {
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if cell.slo_total == 0 {
+                continue;
+            }
+            let tenant = tenants[i / CLASSES.len()].name.as_str();
+            let class = CLASSES[i % CLASSES.len()].name();
+            let labels = [("slo_class", class), ("tenant", tenant)];
+            let counts = [
+                ("completions", cell.completions),
+                ("slo_total", cell.slo_total),
+                ("slo_bad", cell.slo_bad),
+                ("requests_shed", cell.shed.iter().sum()),
+            ];
+            for (name, n) in counts {
+                if n > 0 {
+                    obs.add(name, &labels, f64::from(n));
+                }
+            }
+            for (reason, &n) in SHED_REASONS.iter().zip(&cell.shed) {
+                if n > 0 {
+                    obs.add(
+                        "requests_shed_by_reason",
+                        &[
+                            ("reason", reason.name()),
+                            ("slo_class", class),
+                            ("tenant", tenant),
+                        ],
+                        f64::from(n),
+                    );
+                }
+            }
+            *cell = ClassTally::default();
+        }
+    }
+}
+
 impl CoeCluster {
     /// Runs the multi-tenant serving engine to completion: merges the
     /// tenants' arrival streams, applies admission control, serves
@@ -764,7 +861,12 @@ impl CoeCluster {
         window_opens.sort_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()));
         let mut next_window = 0usize;
 
+        // Counter deltas batched per wave; present exactly when the
+        // pipeline records, so blind serves do no tally work.
+        let mut tally = obs.is_enabled().then(|| WaveTally::new(tenants.len()));
+
         let shed_one = |shed: &mut Vec<ShedRecord>,
+                        tally: &mut Option<WaveTally>,
                         wave: usize,
                         tenant: usize,
                         class: SloClass,
@@ -783,24 +885,9 @@ impl CoeCluster {
                 was_admitted,
             });
             tracer.count(Counter::RequestsShed, 1);
-            if obs.is_enabled() {
+            if let Some(tally) = tally {
+                tally.shed(tenant, class, reason);
                 let tenant_name = tenants[tenant].name.as_str();
-                let class_name = class.name();
-                let labels = [("slo_class", class_name), ("tenant", tenant_name)];
-                obs.add("requests_shed", &labels, 1.0);
-                obs.add(
-                    "requests_shed_by_reason",
-                    &[
-                        ("reason", reason.name()),
-                        ("slo_class", class_name),
-                        ("tenant", tenant_name),
-                    ],
-                    1.0,
-                );
-                // Sheds burn SLO budget: a request the platform lost is a
-                // bad outcome for its tenant's error budget.
-                obs.add("slo_bad", &labels, 1.0);
-                obs.add("slo_total", &labels, 1.0);
                 obs.event(
                     wave,
                     at,
@@ -822,6 +909,7 @@ impl CoeCluster {
                 if !buckets[r.tenant].admit(r.arrival) {
                     shed_one(
                         &mut shed,
+                        &mut tally,
                         waves,
                         r.tenant,
                         r.class,
@@ -840,6 +928,7 @@ impl CoeCluster {
                 if queue.len() >= policy.queue_cap {
                     shed_one(
                         &mut shed,
+                        &mut tally,
                         waves,
                         r.tenant,
                         r.class,
@@ -918,6 +1007,7 @@ impl CoeCluster {
                         let p = queue.pop_front().expect("peeked");
                         shed_one(
                             &mut shed,
+                            &mut tally,
                             waves,
                             p.tenant,
                             p.class,
@@ -1165,6 +1255,7 @@ impl CoeCluster {
                         }
                         shed_one(
                             &mut shed,
+                            &mut tally,
                             waves - 1,
                             p.tenant,
                             p.class,
@@ -1237,15 +1328,9 @@ impl CoeCluster {
                                 });
                             }
                         }
-                        if obs.is_enabled() {
-                            let tenant_name = tenants[record.tenant].name.as_str();
-                            let labels =
-                                [("slo_class", record.class.name()), ("tenant", tenant_name)];
-                            obs.add("completions", &labels, 1.0);
-                            obs.add("slo_total", &labels, 1.0);
-                            if record.latency() > config.policy(record.class).slo_bound {
-                                obs.add("slo_bad", &labels, 1.0);
-                            }
+                        if let Some(tally) = tally.as_mut() {
+                            let late = record.latency() > config.policy(record.class).slo_bound;
+                            tally.complete(record.tenant, record.class, late);
                         }
                         records.push(record);
                     }
@@ -1314,6 +1399,9 @@ impl CoeCluster {
                     iq.len() as f64,
                 );
                 obs.gauge("queue_depth", &[("slo_class", "batch")], bq.len() as f64);
+                if let Some(tally) = tally.as_mut() {
+                    tally.flush(obs, tenants);
+                }
                 let seen = obs.end_wave(wave_idx, clock);
                 if seen.fired > 0 {
                     tracer.count(Counter::AlertsFired, seen.fired as u64);
@@ -1333,6 +1421,7 @@ impl CoeCluster {
         for p in iq.drain(..).chain(bq.drain(..)).chain(inflight.drain(..)) {
             shed_one(
                 &mut shed,
+                &mut tally,
                 waves,
                 p.tenant,
                 p.class,
@@ -1349,6 +1438,7 @@ impl CoeCluster {
             tracer.count(Counter::TenantRequests, 1);
             shed_one(
                 &mut shed,
+                &mut tally,
                 waves,
                 r.tenant,
                 r.class,
@@ -1375,7 +1465,8 @@ impl CoeCluster {
 
         // One last boundary so final-drain sheds land in the series and a
         // still-open capture gets counted (finalize() will freeze it).
-        if obs.is_enabled() {
+        if let Some(tally) = tally.as_mut() {
+            tally.flush(obs, tenants);
             let seen = obs.end_wave(waves, clock);
             if seen.fired > 0 {
                 tracer.count(Counter::AlertsFired, seen.fired as u64);
@@ -1424,6 +1515,18 @@ mod tests {
 
     fn cluster(nodes: usize) -> CoeCluster {
         CoeCluster::new(NodeSpec::sn40l_node(), nodes, ExpertLibrary::new(120), 512).expect("fits")
+    }
+
+    #[test]
+    fn wave_tally_orders_follow_declaration_order() {
+        // `WaveTally` indexes by discriminant and flushes by position in
+        // these arrays: the two must agree.
+        for (i, class) in CLASSES.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
+        for (i, reason) in SHED_REASONS.into_iter().enumerate() {
+            assert_eq!(reason as usize, i);
+        }
     }
 
     fn interactive_tenant(requests: usize) -> TenantSpec {

@@ -15,7 +15,7 @@ use crate::registry::MetricRegistry;
 use crate::series::{LabelSet, SeriesKey};
 use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// What a rule watches. Window sizes are in waves over the raw recent
 /// window (so they must fit `RegistryConfig::recent_capacity`).
@@ -123,16 +123,13 @@ pub struct AlertEvent {
     pub threshold: f64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct RuleState {
-    firing: bool,
-}
-
 /// Evaluates a fixed rule list each wave and tracks firing state.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
-    states: BTreeMap<String, RuleState>,
+    /// Names of the rules currently firing. Keyed by name, so rules that
+    /// share a name share firing state.
+    firing: BTreeSet<String>,
 }
 
 /// Mean over the last `window` samples of a series, with the sample
@@ -143,8 +140,7 @@ fn windowed_mean(
     window: usize,
 ) -> Option<(f64, usize)> {
     let buf = registry.buffer(series)?;
-    let n = buf.last_n(window).len();
-    Some((buf.window_mean(window), n))
+    Some((buf.window_mean(window), buf.recent_len().min(window)))
 }
 
 fn windowed_ratio(
@@ -174,7 +170,7 @@ impl AlertEngine {
     pub fn new(rules: Vec<AlertRule>) -> Self {
         AlertEngine {
             rules,
-            states: BTreeMap::new(),
+            firing: BTreeSet::new(),
         }
     }
 
@@ -185,7 +181,7 @@ impl AlertEngine {
 
     /// Whether a rule is currently firing.
     pub fn is_firing(&self, rule: &str) -> bool {
-        self.states.get(rule).map(|s| s.firing).unwrap_or(false)
+        self.firing.contains(rule)
     }
 
     /// Evaluates every rule against the registry's recent windows and
@@ -239,8 +235,7 @@ impl AlertEngine {
                     let budget = budget.max(f64::EPSILON);
                     let fast = windowed_ratio(registry, bad, total, *fast_window) / budget;
                     let slow = windowed_ratio(registry, bad, total, *slow_window) / budget;
-                    let firing_now = self.states.get(&rule.name).map(|s| s.firing) == Some(true);
-                    let breaching = if firing_now {
+                    let breaching = if self.firing.contains(&rule.name) {
                         // Resolution is fast-window-only.
                         fast > *factor
                     } else {
@@ -252,9 +247,13 @@ impl AlertEngine {
             let Some((breaching, value, threshold)) = verdict else {
                 continue;
             };
-            let state = self.states.entry(rule.name.clone()).or_default();
-            if breaching != state.firing {
-                state.firing = breaching;
+            // The name is cloned only when the rule starts firing.
+            let transitioned = if breaching {
+                !self.firing.contains(&rule.name) && self.firing.insert(rule.name.clone())
+            } else {
+                self.firing.remove(&rule.name)
+            };
+            if transitioned {
                 events.push(AlertEvent {
                     rule: rule.name.clone(),
                     labels: rule.labels.clone(),
@@ -342,6 +341,67 @@ mod tests {
         let fired = step(&mut reg, &mut eng, 2, |r| r.gauge(key("hit_rate"), 0.1));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AlertKind::Firing);
+    }
+
+    #[test]
+    fn rules_sharing_a_name_share_firing_state() {
+        let rule = |series: &str| AlertRule {
+            name: "dup".into(),
+            labels: LabelSet::empty(),
+            condition: AlertCondition::GaugeAbove {
+                series: key(series),
+                threshold: 1.0,
+                window: 1,
+            },
+        };
+        let mut reg = MetricRegistry::new(RegistryConfig::default());
+        let mut eng = AlertEngine::new(vec![rule("a"), rule("b")]);
+        // Both rules breach in the same wave: the second sees the state
+        // the first just set, so one transition, not two.
+        let fired = step(&mut reg, &mut eng, 0, |r| {
+            r.gauge(key("a"), 5.0);
+            r.gauge(key("b"), 5.0);
+        });
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].kind, AlertKind::Firing);
+        assert!(eng.is_firing("dup"));
+        // One rule stops breaching: it resolves the shared state, and
+        // the still-breaching twin fires it again in the same wave.
+        let flapped = step(&mut reg, &mut eng, 1, |r| {
+            r.gauge(key("a"), 0.0);
+            r.gauge(key("b"), 5.0);
+        });
+        let kinds: Vec<AlertKind> = flapped.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![AlertKind::Resolved, AlertKind::Firing]);
+        // Both quiet: one resolution.
+        let resolved = step(&mut reg, &mut eng, 2, |r| {
+            r.gauge(key("a"), 0.0);
+            r.gauge(key("b"), 0.0);
+        });
+        assert_eq!(resolved.len(), 1);
+        assert_eq!(resolved[0].kind, AlertKind::Resolved);
+        assert!(!eng.is_firing("dup"));
+    }
+
+    #[test]
+    fn gauge_below_never_evaluates_a_window_longer_than_the_recent_capacity() {
+        // The window is counted over the raw recent window, which holds
+        // at most `recent_capacity` samples: a longer window never fills.
+        let mut reg = MetricRegistry::new(RegistryConfig {
+            ring_capacity: 8,
+            recent_capacity: 3,
+        });
+        let mut eng = engine_with(AlertCondition::GaugeBelow {
+            series: key("hit_rate"),
+            threshold: 0.5,
+            window: 4,
+        });
+        for wave in 0..10 {
+            let events = step(&mut reg, &mut eng, wave, |r| r.gauge(key("hit_rate"), 0.1));
+            assert!(events.is_empty(), "wave {wave}: {events:?}");
+        }
+        assert!(!eng.is_firing("r"));
+        assert_eq!(reg.buffer(&key("hit_rate")).unwrap().recent_len(), 3);
     }
 
     #[test]

@@ -1,228 +1,198 @@
-//! Hand-rolled JSON export of an [`ObsReport`].
+//! JSON export of an [`ObsReport`].
 //!
 //! The vendored `serde` is a marker stub (see `sn-trace::chrome`), so the
-//! document is written by hand with a fixed key order, sorted series, and
-//! `{:?}` shortest-roundtrip float formatting — byte-identical for
-//! identical reports, which is what the `--jobs` parity tests diff. The
-//! document parses with `sn_trace::json::parse`.
+//! document is written through `sn_trace::json::JsonWriter` with a fixed
+//! key order, sorted series, and `{:?}` shortest-roundtrip float
+//! formatting — byte-identical for identical reports, which is what the
+//! `--jobs` parity tests diff. The document parses with
+//! `sn_trace::json::parse`.
 
 use crate::alert::AlertEvent;
 use crate::recorder::{FlightEntry, PostMortem};
 use crate::series::{LabelSet, MetricKind, Sample, SeriesBuffer, SeriesKey};
 use crate::ObsReport;
 use sn_arch::TimeSecs;
+use sn_trace::json::JsonWriter;
 
 /// Version tag stamped into every export (`"schema"` field).
 pub const SCHEMA: &str = "sn-obs/v1";
 
 /// Serializes a report as a standalone JSON document.
 pub fn to_json(report: &ObsReport) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"schema\":");
-    write_json_string(&mut out, SCHEMA);
-    out.push_str(",\"waves\":");
-    out.push_str(&report.waves.to_string());
-    out.push_str(",\"series\":[");
+    let mut w = JsonWriter::with_capacity(4096);
+    w.raw("{\"schema\":");
+    w.str(SCHEMA);
+    w.raw(",\"waves\":");
+    w.u64(report.waves as u64);
+    w.raw(",\"series\":[");
     for (i, (key, buf)) in report.series.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_series(&mut out, key, buf);
+        write_series(&mut w, key, buf);
     }
-    out.push_str("],\"alerts\":[");
+    w.raw("],\"alerts\":[");
     for (i, alert) in report.alerts.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_alert(&mut out, alert);
+        write_alert(&mut w, alert);
     }
-    out.push_str("],\"postmortems\":[");
+    w.raw("],\"postmortems\":[");
     for (i, pm) in report.postmortems.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_postmortem(&mut out, pm);
+        write_postmortem(&mut w, pm);
     }
-    out.push_str("]}");
-    out
+    w.raw("]}");
+    w.finish()
 }
 
-fn write_series(out: &mut String, key: &SeriesKey, buf: &SeriesBuffer) {
-    out.push_str("{\"name\":");
-    write_json_string(out, &key.name);
-    out.push_str(",\"labels\":");
-    write_labels(out, &key.labels);
-    out.push_str(",\"kind\":");
-    write_json_string(
-        out,
-        match buf.kind() {
-            MetricKind::Gauge => "gauge",
-            MetricKind::Counter => "counter",
-        },
-    );
-    out.push_str(",\"total_samples\":");
-    out.push_str(&buf.total_samples().to_string());
-    out.push_str(",\"buckets\":[");
+fn write_series(w: &mut JsonWriter, key: &SeriesKey, buf: &SeriesBuffer) {
+    w.raw("{\"name\":");
+    w.str(&key.name);
+    w.raw(",\"labels\":");
+    write_labels(w, &key.labels);
+    w.raw(",\"kind\":");
+    w.str(match buf.kind() {
+        MetricKind::Gauge => "gauge",
+        MetricKind::Counter => "counter",
+    });
+    w.raw(",\"total_samples\":");
+    w.u64(buf.total_samples());
+    w.raw(",\"buckets\":[");
     for (i, b) in buf.buckets().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        out.push_str("{\"wave_first\":");
-        out.push_str(&b.wave_first.to_string());
-        out.push_str(",\"wave_last\":");
-        out.push_str(&b.wave_last.to_string());
-        out.push_str(",\"t_first\":");
-        write_time(out, b.t_first);
-        out.push_str(",\"t_last\":");
-        write_time(out, b.t_last);
-        out.push_str(",\"min\":");
-        write_f64(out, b.min);
-        out.push_str(",\"max\":");
-        write_f64(out, b.max);
-        out.push_str(",\"sum\":");
-        write_f64(out, b.sum);
-        out.push_str(",\"count\":");
-        out.push_str(&b.count.to_string());
-        out.push('}');
+        w.raw("{\"wave_first\":");
+        w.u64(b.wave_first as u64);
+        w.raw(",\"wave_last\":");
+        w.u64(b.wave_last as u64);
+        w.raw(",\"t_first\":");
+        write_time(w, b.t_first);
+        w.raw(",\"t_last\":");
+        write_time(w, b.t_last);
+        w.raw(",\"min\":");
+        w.f64(b.min);
+        w.raw(",\"max\":");
+        w.f64(b.max);
+        w.raw(",\"sum\":");
+        w.f64(b.sum);
+        w.raw(",\"count\":");
+        w.u64(b.count);
+        w.raw("}");
     }
-    out.push_str("],\"recent\":[");
+    w.raw("],\"recent\":[");
     for (i, s) in buf.recent().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_sample(out, s);
+        write_sample(w, s);
     }
-    out.push_str("]}");
+    w.raw("]}");
 }
 
-fn write_sample(out: &mut String, s: &Sample) {
-    out.push_str("{\"wave\":");
-    out.push_str(&s.wave.to_string());
-    out.push_str(",\"t\":");
-    write_time(out, s.t);
-    out.push_str(",\"value\":");
-    write_f64(out, s.value);
-    out.push('}');
+fn write_sample(w: &mut JsonWriter, s: &Sample) {
+    w.raw("{\"wave\":");
+    w.u64(s.wave as u64);
+    w.raw(",\"t\":");
+    write_time(w, s.t);
+    w.raw(",\"value\":");
+    w.f64(s.value);
+    w.raw("}");
 }
 
-fn write_alert(out: &mut String, a: &AlertEvent) {
-    out.push_str("{\"rule\":");
-    write_json_string(out, &a.rule);
-    out.push_str(",\"labels\":");
-    write_labels(out, &a.labels);
-    out.push_str(",\"kind\":");
-    write_json_string(out, a.kind.name());
-    out.push_str(",\"wave\":");
-    out.push_str(&a.wave.to_string());
-    out.push_str(",\"at\":");
-    write_time(out, a.at);
-    out.push_str(",\"value\":");
-    write_f64(out, a.value);
-    out.push_str(",\"threshold\":");
-    write_f64(out, a.threshold);
-    out.push('}');
+fn write_alert(w: &mut JsonWriter, a: &AlertEvent) {
+    w.raw("{\"rule\":");
+    w.str(&a.rule);
+    w.raw(",\"labels\":");
+    write_labels(w, &a.labels);
+    w.raw(",\"kind\":");
+    w.str(a.kind.name());
+    w.raw(",\"wave\":");
+    w.u64(a.wave as u64);
+    w.raw(",\"at\":");
+    write_time(w, a.at);
+    w.raw(",\"value\":");
+    w.f64(a.value);
+    w.raw(",\"threshold\":");
+    w.f64(a.threshold);
+    w.raw("}");
 }
 
-fn write_postmortem(out: &mut String, pm: &PostMortem) {
-    out.push_str("{\"trigger\":");
-    write_json_string(out, &pm.trigger);
-    out.push_str(",\"opened_wave\":");
-    out.push_str(&pm.opened_wave.to_string());
-    out.push_str(",\"opened_at\":");
-    write_time(out, pm.opened_at);
-    out.push_str(",\"closed_wave\":");
-    out.push_str(&pm.closed_wave.to_string());
-    out.push_str(",\"entries\":[");
+fn write_postmortem(w: &mut JsonWriter, pm: &PostMortem) {
+    w.raw("{\"trigger\":");
+    w.str(&pm.trigger);
+    w.raw(",\"opened_wave\":");
+    w.u64(pm.opened_wave as u64);
+    w.raw(",\"opened_at\":");
+    write_time(w, pm.opened_at);
+    w.raw(",\"closed_wave\":");
+    w.u64(pm.closed_wave as u64);
+    w.raw(",\"entries\":[");
     for (i, e) in pm.entries.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_entry(out, e);
+        write_entry(w, e);
     }
-    out.push_str("],\"series\":[");
+    w.raw("],\"series\":[");
     for (i, (key, samples)) in pm.series.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        out.push_str("{\"name\":");
-        write_json_string(out, &key.name);
-        out.push_str(",\"labels\":");
-        write_labels(out, &key.labels);
-        out.push_str(",\"samples\":[");
+        w.raw("{\"name\":");
+        w.str(&key.name);
+        w.raw(",\"labels\":");
+        write_labels(w, &key.labels);
+        w.raw(",\"samples\":[");
         for (j, s) in samples.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                w.raw(",");
             }
-            write_sample(out, s);
+            write_sample(w, s);
         }
-        out.push_str("]}");
+        w.raw("]}");
     }
-    out.push_str("]}");
+    w.raw("]}");
 }
 
-fn write_entry(out: &mut String, e: &FlightEntry) {
-    out.push_str("{\"wave\":");
-    out.push_str(&e.wave.to_string());
-    out.push_str(",\"t\":");
-    write_time(out, e.t);
-    out.push_str(",\"node\":");
+fn write_entry(w: &mut JsonWriter, e: &FlightEntry) {
+    w.raw("{\"wave\":");
+    w.u64(e.wave as u64);
+    w.raw(",\"t\":");
+    write_time(w, e.t);
+    w.raw(",\"node\":");
     match e.node {
-        Some(n) => out.push_str(&n.to_string()),
-        None => out.push_str("null"),
+        Some(n) => w.u64(n as u64),
+        None => w.raw("null"),
     }
-    out.push_str(",\"kind\":");
-    write_json_string(out, &e.kind);
-    out.push_str(",\"detail\":");
-    write_json_string(out, &e.detail);
-    out.push_str(",\"value\":");
-    write_f64(out, e.value);
-    out.push('}');
+    w.raw(",\"kind\":");
+    w.str(&e.kind);
+    w.raw(",\"detail\":");
+    w.str(&e.detail);
+    w.raw(",\"value\":");
+    w.f64(e.value);
+    w.raw("}");
 }
 
-fn write_labels(out: &mut String, labels: &LabelSet) {
-    out.push('{');
+fn write_labels(w: &mut JsonWriter, labels: &LabelSet) {
+    w.raw("{");
     for (i, (k, v)) in labels.pairs().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            w.raw(",");
         }
-        write_json_string(out, k);
-        out.push(':');
-        write_json_string(out, v);
+        w.str(k);
+        w.raw(":");
+        w.str(v);
     }
-    out.push('}');
+    w.raw("}");
 }
 
-fn write_time(out: &mut String, t: TimeSecs) {
-    write_f64(out, t.as_secs());
-}
-
-/// Writes a finite float using shortest-roundtrip `{:?}` formatting;
-/// non-finite values degrade to 0 (mirrors `sn-trace::chrome`).
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        out.push_str(&format!("{x:?}"));
-    } else {
-        out.push('0');
-    }
-}
-
-/// Escapes and quotes a string for JSON (mirrors `sn-trace::chrome`).
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn write_time(w: &mut JsonWriter, t: TimeSecs) {
+    w.f64(t.as_secs());
 }
 
 #[cfg(test)]

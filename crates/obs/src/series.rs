@@ -260,6 +260,11 @@ impl SeriesBuffer {
         self.recent.iter().skip(skip).copied().collect()
     }
 
+    /// Number of raw samples in the recent window.
+    pub fn recent_len(&self) -> usize {
+        self.recent.len()
+    }
+
     /// Latest raw sample, if any.
     pub fn last(&self) -> Option<Sample> {
         self.recent.back().copied()
@@ -337,6 +342,7 @@ mod tests {
         assert_eq!(buf.last().unwrap().wave, 9);
         assert_eq!(buf.last_n(2).len(), 2);
         assert_eq!(buf.last_n(100).len(), 4);
+        assert_eq!(buf.recent_len(), 4);
         assert_eq!(buf.window_sum(2), 8.0 + 9.0);
         assert!((buf.window_mean(4) - 7.5).abs() < 1e-12);
     }

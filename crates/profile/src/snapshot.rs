@@ -6,14 +6,14 @@
 //! figures, attribution fractions, SLO percentiles — each with a unit and
 //! a relative tolerance, plus free-form `info` entries (simulator
 //! wall-clock, configuration) that are recorded but never compared.
-//! Snapshots serialize to a small hand-rolled JSON document
-//! (`sn-bench-snapshot-v1`; the vendored `serde` is a marker stub) and
-//! parse back via `sn_trace::json`, so a committed baseline can be
+//! Snapshots serialize to a small JSON document (`sn-bench-snapshot-v1`,
+//! written through `sn_trace::json::JsonWriter`; the vendored `serde` is a
+//! marker stub) and parse back via `sn_trace::json`, so a committed baseline can be
 //! diffed against a fresh run: [`BenchSnapshot::compare`] flags any
 //! metric whose relative deviation exceeds the *baseline's* tolerance.
 
 use serde::{Deserialize, Serialize};
-use sn_trace::json::{self, JsonValue};
+use sn_trace::json::{self, JsonValue, JsonWriter};
 
 /// Schema identifier written into (and required of) every snapshot.
 pub const SCHEMA: &str = "sn-bench-snapshot-v1";
@@ -101,35 +101,36 @@ impl BenchSnapshot {
     /// Serializes to the `sn-bench-snapshot-v1` JSON document. Output is
     /// deterministic: same snapshot, byte-identical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", escape(SCHEMA)));
-        out.push_str("  \"metrics\": [\n");
+        let mut w = JsonWriter::with_capacity(128 + self.metrics.len() * 96);
+        w.raw("{\n  \"schema\": ");
+        w.str(SCHEMA);
+        w.raw(",\n  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
-            let value = match &m.value {
-                MetricValue::Num(n) => fmt_num(*n),
-                MetricValue::Text(s) => escape(s),
-            };
-            out.push_str(&format!(
-                "    {{\"key\": {}, \"value\": {}, \"unit\": {}, \"tolerance\": {}}}{}\n",
-                escape(&m.key),
-                value,
-                escape(&m.unit),
-                fmt_num(m.tolerance),
-                if i + 1 == self.metrics.len() { "" } else { "," },
-            ));
+            w.raw("    {\"key\": ");
+            w.str(&m.key);
+            w.raw(", \"value\": ");
+            match &m.value {
+                MetricValue::Num(n) => w.f64(*n),
+                MetricValue::Text(s) => w.str(s),
+            }
+            w.raw(", \"unit\": ");
+            w.str(&m.unit);
+            w.raw(", \"tolerance\": ");
+            w.f64(m.tolerance);
+            let last = i + 1 == self.metrics.len();
+            w.raw(if last { "}\n" } else { "},\n" });
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"info\": [\n");
+        w.raw("  ],\n  \"info\": [\n");
         for (i, (k, v)) in self.info.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"key\": {}, \"value\": {}}}{}\n",
-                escape(k),
-                escape(v),
-                if i + 1 == self.info.len() { "" } else { "," },
-            ));
+            w.raw("    {\"key\": ");
+            w.str(k);
+            w.raw(", \"value\": ");
+            w.str(v);
+            let last = i + 1 == self.info.len();
+            w.raw(if last { "}\n" } else { "},\n" });
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.raw("  ]\n}\n");
+        w.finish()
     }
 
     /// Parses a snapshot serialized by [`BenchSnapshot::to_json`].
@@ -349,35 +350,6 @@ fn relative_deviation(baseline: f64, current: f64) -> f64 {
     } else {
         diff / baseline.abs()
     }
-}
-
-/// Shortest-roundtrip float formatting, matching the tracer's JSON
-/// writers: `{:?}` on f64, with non-finite values written as 0.
-fn fmt_num(n: f64) -> String {
-    if n.is_finite() {
-        format!("{n:?}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// JSON string escaping (quotes, backslash, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! Serializes a tracer's event buffer into the JSON Object Format of the
 //! Chrome Trace Event specification — loadable in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`. The vendored `serde`
-//! is a marker stub, so serialization is hand-rolled here; output is
-//! deterministic: fixed key order, events in emission order, and `{:?}`
-//! (shortest-roundtrip) float formatting.
+//! is a marker stub, so the document is written through
+//! [`JsonWriter`]; output is deterministic: fixed key order, events in
+//! emission order, and `{:?}` (shortest-roundtrip) float formatting.
 //!
 //! Emitted phases:
 //!
@@ -15,6 +15,7 @@
 //! - `"C"` — counter samples.
 
 use crate::event::{ArgValue, EventKind, TraceEvent, Track};
+use crate::json::JsonWriter;
 
 /// Serializes events into a Chrome-trace JSON document
 /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
@@ -22,120 +23,92 @@ use crate::event::{ArgValue, EventKind, TraceEvent, Track};
 /// A process-name metadata record is emitted for every track that appears
 /// in `events`, in [`Track::ALL`] order, before the events themselves.
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(128 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
+    let mut w = JsonWriter::with_capacity(128 + events.len() * 128);
+    w.raw("{\"traceEvents\":[");
+    let mut used = [false; Track::ALL.len()];
+    for e in events {
+        used[e.track.index()] = true;
+    }
     let mut first = true;
     for track in Track::ALL {
-        if events.iter().any(|e| e.track == track) {
+        if used[track.index()] {
             if !first {
-                out.push(',');
+                w.raw(",");
             }
             first = false;
-            write_metadata(&mut out, track);
+            write_metadata(&mut w, track);
         }
     }
     for e in events {
         if !first {
-            out.push(',');
+            w.raw(",");
         }
         first = false;
-        write_event(&mut out, e);
+        write_event(&mut w, e);
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    w.raw("],\"displayTimeUnit\":\"ms\"}");
+    w.finish()
 }
 
-fn write_metadata(out: &mut String, track: Track) {
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
-    out.push_str(&track.pid().to_string());
-    out.push_str(",\"tid\":0,\"args\":{\"name\":");
-    write_json_string(out, track.name());
-    out.push_str("}}");
+fn write_metadata(w: &mut JsonWriter, track: Track) {
+    w.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+    w.u64(u64::from(track.pid()));
+    w.raw(",\"tid\":0,\"args\":{\"name\":");
+    w.str(track.name());
+    w.raw("}}");
 }
 
-fn write_event(out: &mut String, e: &TraceEvent) {
-    out.push_str("{\"name\":");
-    write_json_string(out, &e.name);
-    let ph = match e.kind {
-        EventKind::Complete { .. } => "X",
-        EventKind::Instant => "i",
-        EventKind::Counter { .. } => "C",
-    };
-    out.push_str(",\"ph\":\"");
-    out.push_str(ph);
-    out.push_str("\",\"pid\":");
-    out.push_str(&e.track.pid().to_string());
-    out.push_str(",\"tid\":");
-    out.push_str(&e.tid.to_string());
-    out.push_str(",\"ts\":");
-    write_f64(out, e.ts_us);
+fn write_event(w: &mut JsonWriter, e: &TraceEvent) {
+    w.raw("{\"name\":");
+    w.str(&e.name);
+    w.raw(match e.kind {
+        EventKind::Complete { .. } => ",\"ph\":\"X\",\"pid\":",
+        EventKind::Instant => ",\"ph\":\"i\",\"pid\":",
+        EventKind::Counter { .. } => ",\"ph\":\"C\",\"pid\":",
+    });
+    w.u64(u64::from(e.track.pid()));
+    w.raw(",\"tid\":");
+    w.u64(u64::from(e.tid));
+    w.raw(",\"ts\":");
+    w.f64(e.ts_us);
     match e.kind {
         EventKind::Complete { dur_us } => {
-            out.push_str(",\"dur\":");
-            write_f64(out, dur_us);
+            w.raw(",\"dur\":");
+            w.f64(dur_us);
         }
         EventKind::Instant => {
             // Thread-scoped instant: renders as a marker on the tid lane.
-            out.push_str(",\"s\":\"t\"");
+            w.raw(",\"s\":\"t\"");
         }
         EventKind::Counter { .. } => {}
     }
-    out.push_str(",\"args\":{");
+    w.raw(",\"args\":{");
     match e.kind {
         EventKind::Counter { value } => {
-            out.push_str("\"value\":");
-            write_f64(out, value);
+            w.raw("\"value\":");
+            w.f64(value);
         }
         _ => {
             for (i, (k, v)) in e.args.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    w.raw(",");
                 }
-                write_json_string(out, k);
-                out.push(':');
-                write_arg(out, v);
+                w.str(k);
+                w.raw(":");
+                write_arg(w, v);
             }
         }
     }
-    out.push_str("}}");
+    w.raw("}}");
 }
 
-fn write_arg(out: &mut String, v: &ArgValue) {
+fn write_arg(w: &mut JsonWriter, v: &ArgValue) {
     match v {
-        ArgValue::U64(n) => out.push_str(&n.to_string()),
-        ArgValue::F64(x) => write_f64(out, *x),
-        ArgValue::Str(s) => write_json_string(out, s),
-        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        ArgValue::U64(n) => w.u64(*n),
+        ArgValue::F64(x) => w.f64(*x),
+        ArgValue::Str(s) => w.str(s),
+        ArgValue::Bool(b) => w.raw(if *b { "true" } else { "false" }),
     }
-}
-
-/// Writes a finite float using Rust's shortest-roundtrip `{:?}` formatting
-/// (deterministic across runs); non-finite values degrade to 0.
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        out.push_str(&format!("{x:?}"));
-    } else {
-        out.push('0');
-    }
-}
-
-/// Escapes and quotes a string per JSON rules.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -199,10 +172,16 @@ mod tests {
 
     #[test]
     fn non_finite_floats_degrade_to_zero() {
-        let mut s = String::new();
-        write_f64(&mut s, f64::NAN);
-        write_f64(&mut s, f64::INFINITY);
-        assert_eq!(s, "00");
+        let e = TraceEvent {
+            name: "x".into(),
+            track: Track::Coe,
+            tid: 0,
+            ts_us: f64::INFINITY,
+            kind: EventKind::Counter { value: f64::NAN },
+            args: vec![],
+        };
+        let json = to_chrome_json(&[e]);
+        assert!(json.contains("\"ts\":0,\"args\":{\"value\":0}"));
     }
 
     /// Serializes one instant event with the given name and string arg,

@@ -1,12 +1,131 @@
-//! Minimal recursive-descent JSON parser.
+//! The workspace's one JSON writer, [`JsonWriter`], and a minimal
+//! recursive-descent parser for what it writes.
 //!
-//! The vendored `serde` is a marker stub with no real (de)serialization, so
-//! validating that [`crate::chrome`] output is well-formed JSON — and that
-//! it has the Chrome trace shape Perfetto expects — needs a real parser.
-//! This one supports the full JSON grammar minus `\uXXXX` surrogate pairs
+//! The vendored `serde` is a marker stub with no real (de)serialization,
+//! so every exported document — the Chrome trace ([`crate::chrome`]), the
+//! `sn-obs` export, and the `sn-profile` bench snapshot — is written by
+//! hand through [`JsonWriter`], and validated by [`parse`]. The parser
+//! supports the full JSON grammar minus `\uXXXX` surrogate pairs
 //! (unneeded: the writer only emits `\u00XX` control escapes).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::ops::Range;
+
+/// Appends JSON text to a `String` with deterministic number formatting.
+///
+/// Floats are written exactly as `format!("{x:?}")` (Rust's
+/// shortest-roundtrip form), and non-finite values as `0`. Telemetry
+/// documents repeat a few distinct floats thousands of times (every
+/// series shares the per-wave timestamps), so each distinct non-integral
+/// value is formatted once: the writer remembers where its text landed,
+/// keyed by the exact bits, and copies those bytes for every later
+/// occurrence. Same bits means the same `{:?}` text, so the memo cannot
+/// change a byte. Integers never allocate.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// `f64::to_bits` → where that value's text already sits in `out`.
+    floats: HashMap<u64, Range<usize>>,
+}
+
+/// Integral floats below this magnitude print as their integer digits
+/// followed by `.0` under `{:?}`; from here up `{:?}` switches to
+/// exponent form (`1e16`).
+const INTEGRAL_FAST_PATH_LIMIT: f64 = 1e16;
+
+impl JsonWriter {
+    /// A writer whose buffer starts with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            floats: HashMap::new(),
+        }
+    }
+
+    /// Appends structural text (punctuation, keys known to need no
+    /// escaping, literals) verbatim.
+    #[inline]
+    pub fn raw(&mut self, s: &str) {
+        self.out.push_str(s);
+    }
+
+    /// Appends `s` as a quoted JSON string: `"` and `\` are
+    /// backslash-escaped, `\n`, `\r`, `\t` use their short escapes, other
+    /// control characters become `\u00xx`, and everything else — non-ASCII
+    /// included — passes through raw.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let short = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\r' => Some("\\r"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `run..i` ends on a char
+            // boundary.
+            self.out.push_str(&s[run..i]);
+            match short {
+                Some(escape) => self.out.push_str(escape),
+                None => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// Appends an unsigned integer in decimal.
+    pub fn u64(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+    }
+
+    /// Appends a float exactly as `format!("{x:?}")` would, or `0` when
+    /// `x` is not finite.
+    pub fn f64(&mut self, x: f64) {
+        if !x.is_finite() {
+            self.out.push('0');
+        } else if x.fract() == 0.0 && x.abs() < INTEGRAL_FAST_PATH_LIMIT {
+            // `{:?}` of an integral value under 1e16 is its integer digits
+            // plus `.0`, keeping the sign of `-0.0`.
+            if x.is_sign_negative() {
+                self.out.push('-');
+            }
+            self.u64(x.abs() as u64);
+            self.out.push_str(".0");
+        } else if let Some(range) = self.floats.get(&x.to_bits()) {
+            self.out.extend_from_within(range.clone());
+        } else {
+            let start = self.out.len();
+            let _ = write!(self.out, "{x:?}");
+            self.floats.insert(x.to_bits(), start..self.out.len());
+        }
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
 
 /// A parsed JSON value. Objects use a [`BTreeMap`] so traversal order is
 /// deterministic.
@@ -322,6 +441,61 @@ mod tests {
             parse("\"\\u0001\"").unwrap(),
             JsonValue::String("\u{0001}".into())
         );
+    }
+
+    fn written(f: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::default();
+        f(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn writer_floats_match_debug_formatting() {
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -7.0,
+            0.1,
+            1e15,
+            9_999_999_999_999_998.0,
+            1e16,
+            -1e16,
+            123.456,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            // Twice: the second write copies the memoized text.
+            assert_eq!(
+                written(|w| {
+                    w.f64(x);
+                    w.raw(",");
+                    w.f64(x);
+                }),
+                format!("{x:?},{x:?}")
+            );
+        }
+        assert_eq!(
+            written(|w| {
+                w.f64(f64::NAN);
+                w.f64(f64::INFINITY);
+                w.f64(f64::NEG_INFINITY);
+            }),
+            "000"
+        );
+    }
+
+    #[test]
+    fn writer_integers_and_strings() {
+        for n in [0, 7, 10, 1234567890, u64::MAX] {
+            assert_eq!(written(|w| w.u64(n)), n.to_string());
+        }
+        assert_eq!(
+            written(|w| w.str("a\"b\\c\nd\re\tf\u{1}g\u{1f}h naïve 終")),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh naïve 終\""
+        );
+        assert_eq!(written(|w| w.str("")), "\"\"");
     }
 
     #[test]

@@ -239,9 +239,12 @@ impl Tracer {
     }
 
     /// Serializes the buffered events as Chrome trace JSON (see
-    /// [`crate::chrome`]).
+    /// [`crate::chrome`]), reading the buffer in place under the lock.
     pub fn chrome_trace_json(&self) -> String {
-        crate::chrome::to_chrome_json(&self.events())
+        match &self.inner {
+            None => crate::chrome::to_chrome_json(&[]),
+            Some(inner) => crate::chrome::to_chrome_json(&inner.lock().events),
+        }
     }
 }
 
