@@ -21,11 +21,11 @@
 //! evicted — `pages_in == pages_resident + pages_evicted` after any
 //! operation sequence.
 //!
-//! Bookkeeping costs the work it does, not the state it holds: a touch
-//! hit, an eviction, and an insert are O(1), or O(log n) for pages of
-//! finished requests, because the victim order is kept by a recency
-//! list and an ordered set rather than found by a scan (see
-//! [`PagedKvCache`]).
+//! Bookkeeping costs the work it does, not the context it covers: each
+//! sequence holds its resident pages as runs (intervals stamped by one
+//! touch), and one ordered map keeps the victim order over runs rather
+//! than pages. A touch costs O(log n) per run it visits or evicts from,
+//! whatever the number of pages those runs hold (see [`PagedKvCache`]).
 //!
 //! # Examples
 //!
@@ -52,7 +52,7 @@
 
 use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Page geometry and the HBM budget the cache may occupy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,64 +106,58 @@ pub struct KvStats {
     pub refaults: u64,
 }
 
-/// Where one allocated page of a sequence currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Residency {
-    /// In DDR (or never brought in): touching it is a refault, or an
-    /// allocation at or above the sequence's high-water mark.
-    Evicted,
-    /// Resident and owned by a live request: linked into the recency list.
-    Live,
-    /// Resident and owned by a finished request: indexed in the finished
-    /// set.
-    Finished,
-}
-
-/// A page's address inside the cache: `(sequence slot, page index)`.
-type PageRef = (u32, u32);
-
+/// An interval `[lo, hi)` of one sequence's resident pages that share
+/// one last-touch clock. A touch stamps the prefix it covers with a
+/// fresh clock, so each clock names exactly one run; eviction takes a
+/// run's lowest page first, so a run stays an interval as it shrinks.
 #[derive(Debug, Clone, Copy)]
-struct Page {
-    residency: Residency,
-    last_touch: u64,
-    /// Recency-list neighbours; meaningful only while `Live`.
-    prev: Option<PageRef>,
-    next: Option<PageRef>,
+struct Run {
+    lo: u32,
+    hi: u32,
+    clock: u64,
+    finished: bool,
 }
 
-const EVICTED_PAGE: Page = Page {
-    residency: Residency::Evicted,
-    last_touch: 0,
-    prev: None,
-    next: None,
-};
+impl Run {
+    /// The run's place in the victim order: finished runs first, then
+    /// the least recently touched.
+    fn key(&self) -> (bool, u64) {
+        (!self.finished, self.clock)
+    }
+}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SeqState {
-    /// Every page the sequence ever allocated, indexed by page number;
-    /// the length is the high-water mark, so a non-resident page below
-    /// it is a refault, not an allocation.
-    pages: Vec<Page>,
+    /// Resident runs, lowest pages first. A touch replaces the runs inside
+    /// the prefix it covers with one new run at the front, so the clocks
+    /// fall front to back and the back run is the sequence's cheapest
+    /// victim: finished runs are all older than live ones, because a
+    /// finish retires every run and a later touch adds a newer one.
+    runs: VecDeque<Run>,
+    /// Pages the sequence ever allocated: a non-resident page below it is
+    /// a refault, not an allocation.
+    high_water: u32,
 }
 
 /// A paged KV cache with cost-aware LRU eviction under an HBM budget.
 ///
 /// The victim order is the total order `(finished first, last touch,
-/// sequence, page)`, kept by two indexes instead of a scan:
+/// sequence, page)`. Each sequence holds its resident pages as
+/// runs — intervals stamped by one touch — and one ordered map
+/// keys every run by `(finished first, clock)`. Clocks are unique per
+/// run, so that key order is the page order above, with pages inside a
+/// run evicted lowest first; the first key names the sequence whose back
+/// run goes next.
 ///
-/// - **Live** pages sit on an intrusive doubly-linked recency list.
-///   Every touch takes a strictly larger logical clock and visits one
-///   sequence's pages in ascending page order, so appending each touched
-///   page at the tail keeps the list sorted by `(last touch, sequence,
-///   page)` — its head is the live victim.
-/// - **Finished** pages sit in an ordered set keyed by `(last touch,
-///   (sequence, page))`. [`PagedKvCache::finish`] can retire pages
-///   touched long ago, so they need an ordered insert, not an append.
-///
-/// Each sequence's pages are indexed densely by page number, so a touch
-/// hit, an eviction, and an insert are O(1) — O(log n) when a finished
-/// page is involved. Sequences are found through one ordered map lookup
-/// per touch or finish.
+/// A touch walks the sequence's runs instead of its pages: a resident
+/// run moves into the new run whole, and a missing stretch evicts whole
+/// victim runs with arithmetic. Two cases make the walk more than a
+/// merge. When nothing older is left, a context larger than the budget
+/// evicts the head of its own new run. When the victim is a later run of
+/// the touching sequence, its pages go before the walk reaches them and
+/// refault when it does. A touch therefore costs O(runs visited + victim
+/// runs consumed) map operations, whatever the context length; a finish
+/// costs O(live runs).
 #[derive(Debug, Clone)]
 pub struct PagedKvCache {
     config: PagedKvConfig,
@@ -171,14 +165,16 @@ pub struct PagedKvCache {
     /// Sequence id → index into `seqs`.
     slots: BTreeMap<u64, u32>,
     seqs: Vec<SeqState>,
-    /// Oldest live page (the live victim) and newest live page.
-    live_head: Option<PageRef>,
-    live_tail: Option<PageRef>,
-    /// Resident pages of finished sequences, cheapest victim first.
-    finished: BTreeSet<(u64, (u64, u32))>,
+    /// Every resident run's victim key → its sequence slot. The first
+    /// key's run is its sequence's back run.
+    victims: BTreeMap<(bool, u64), u32>,
     resident: u64,
     clock: u64,
     stats: KvStats,
+    /// Walk steps taken: runs visited, victim runs taken, and stretches
+    /// filled.
+    #[cfg(test)]
+    steps: u64,
 }
 
 impl PagedKvCache {
@@ -198,12 +194,12 @@ impl PagedKvCache {
             capacity,
             slots: BTreeMap::new(),
             seqs: Vec::new(),
-            live_head: None,
-            live_tail: None,
-            finished: BTreeSet::new(),
+            victims: BTreeMap::new(),
             resident: 0,
             clock: 0,
             stats: KvStats::default(),
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -236,55 +232,31 @@ impl PagedKvCache {
         }
     }
 
-    fn page_mut(&mut self, (slot, page): PageRef) -> &mut Page {
-        &mut self.seqs[slot as usize].pages[page as usize]
-    }
-
-    /// Removes a live page from the recency list.
-    fn unlink(&mut self, at: PageRef) {
-        let Page { prev, next, .. } = *self.page_mut(at);
-        match prev {
-            Some(p) => self.page_mut(p).next = next,
-            None => self.live_head = next,
-        }
-        match next {
-            Some(n) => self.page_mut(n).prev = prev,
-            None => self.live_tail = prev,
-        }
-    }
-
-    /// Marks a page touched now and appends it at the newest end of the
-    /// recency list.
-    fn push_live(&mut self, at: PageRef) {
-        let (tail, clock) = (self.live_tail, self.clock);
-        let page = self.page_mut(at);
-        page.residency = Residency::Live;
-        page.last_touch = clock;
-        page.prev = tail;
-        page.next = None;
-        match tail {
-            Some(t) => self.page_mut(t).next = Some(at),
-            None => self.live_head = Some(at),
-        }
-        self.live_tail = Some(at);
-    }
-
-    /// Evicts the cheapest page: finished requests' pages first (their
-    /// context is dead — dropping is free), then least-recently-touched,
-    /// then lowest key. Returns false when nothing is resident.
-    fn evict_one(&mut self) -> bool {
-        let victim = if let Some((_, (seq, page))) = self.finished.pop_first() {
-            (self.slots[&seq], page)
-        } else if let Some(head) = self.live_head {
-            self.unlink(head);
-            head
+    /// Evicts pages from the bottom of the cheapest victim run — finished
+    /// requests' pages first (their context is dead, so dropping is
+    /// free), then the least recently touched — and returns the count, or
+    /// `None` when no run is left to take from. The walk of sequence
+    /// `slot` has `gap` missing pages before its next run and `rest`
+    /// pages left to walk: it takes at most `gap`, or `rest` when the
+    /// victim is that next run, because each page the run loses is
+    /// missing when the walk arrives, so the stretch runs on through it.
+    fn evict_victim_run(&mut self, slot: u32, gap: u32, rest: u32) -> Option<u32> {
+        let (&key, &victim) = self.victims.first_key_value()?;
+        let runs = &mut self.seqs[victim as usize].runs;
+        let limit = if victim == slot && runs.len() == 1 {
+            rest
         } else {
-            return false;
+            gap
         };
-        self.page_mut(victim).residency = Residency::Evicted;
-        self.resident -= 1;
-        self.stats.pages_evicted += 1;
-        true
+        let run = runs.back_mut().expect("a victim key names a resident run");
+        debug_assert_eq!(run.key(), key);
+        let n = (run.hi - run.lo).min(limit);
+        run.lo += n;
+        if run.lo == run.hi {
+            runs.pop_back();
+            self.victims.remove(&key);
+        }
+        Some(n)
     }
 
     /// Ensures the first `pages_for(tokens)` pages of `seq` are resident,
@@ -299,48 +271,81 @@ impl PagedKvCache {
         let next_slot = self.seqs.len() as u32;
         let slot = *self.slots.entry(seq).or_insert(next_slot);
         if slot == next_slot {
-            self.seqs.push(SeqState { pages: Vec::new() });
+            self.seqs.push(SeqState::default());
         }
-        let pages = &mut self.seqs[slot as usize].pages;
-        let high_water = pages.len() as u32;
-        if needed > high_water {
-            pages.resize(needed as usize, EVICTED_PAGE);
-        }
+        let state = &mut self.seqs[slot as usize];
+        let high_water = state.high_water;
+        state.high_water = high_water.max(needed);
         let mut touch = KvTouch::default();
-        for page in 0..needed {
-            let at = (slot, page);
-            let Page {
-                residency,
-                last_touch,
-                ..
-            } = *self.page_mut(at);
-            match residency {
-                Residency::Live => self.unlink(at),
-                Residency::Finished => {
-                    self.finished.remove(&(last_touch, (seq, page)));
-                }
-                Residency::Evicted => {
-                    // Not resident: a refault if it was allocated before,
-                    // a fresh allocation otherwise. Either way it enters
-                    // HBM.
-                    if page < high_water {
-                        touch.refaulted += 1;
-                        self.stats.refaults += 1;
-                    } else {
-                        touch.allocated += 1;
-                    }
-                    while self.resident >= self.capacity {
-                        if !self.evict_one() {
-                            break;
-                        }
-                        touch.evicted += 1;
-                    }
-                    self.resident += 1;
-                    self.stats.pages_in += 1;
-                }
+        // The new run is `[lo, page)`: the part of the walked prefix still
+        // resident. It holds the newest clock, so it stays out of the
+        // victim map until the walk ends and goes last.
+        let (mut lo, mut page) = (0u32, 0u32);
+        while page < needed {
+            #[cfg(test)]
+            {
+                self.steps += 1;
             }
-            self.push_live(at);
+            let next = self.seqs[slot as usize].runs.front().copied();
+            if let Some(run) = next.filter(|run| run.lo == page) {
+                // A resident run: its pages below `needed` join the new
+                // run without evicting anything.
+                let hi = run.hi.min(needed);
+                let runs = &mut self.seqs[slot as usize].runs;
+                if hi == run.hi {
+                    runs.pop_front();
+                    self.victims.remove(&run.key());
+                } else {
+                    runs[0].lo = hi;
+                }
+                page = hi;
+                continue;
+            }
+            // A missing stretch up to the next resident page. Each page
+            // entering HBM evicts one victim page once the budget is full.
+            let gap = next.map_or(needed, |run| run.lo.min(needed)) - page;
+            let free = self.capacity - self.resident;
+            let n = if free > 0 {
+                let n = u64::from(gap).min(free) as u32;
+                self.resident += u64::from(n);
+                n
+            } else {
+                // Each evicted page makes room for one page entering, so
+                // residency stays at the budget.
+                let n = match self.evict_victim_run(slot, gap, needed - page) {
+                    Some(n) => n,
+                    None => {
+                        // Only the new run is resident: each page of the
+                        // rest of the context displaces its head.
+                        debug_assert!(lo < page, "a full cache holds pages");
+                        let n = needed - page;
+                        lo += n;
+                        n
+                    }
+                };
+                touch.evicted += u64::from(n);
+                self.stats.pages_evicted += u64::from(n);
+                n
+            };
+            // Pages below the old high-water mark were allocated before:
+            // bringing them back is a refault.
+            let refaulted = u64::from(high_water.clamp(page, page + n) - page);
+            touch.refaulted += refaulted;
+            touch.allocated += u64::from(n) - refaulted;
+            self.stats.refaults += refaulted;
+            self.stats.pages_in += u64::from(n);
+            page += n;
         }
+        // Every context needs a page, and self-eviction keeps the new run
+        // as long as the budget, so the new run is never empty.
+        let run = Run {
+            lo,
+            hi: page,
+            clock: self.clock,
+            finished: false,
+        };
+        self.seqs[slot as usize].runs.push_front(run);
+        self.victims.insert(run.key(), slot);
         touch
     }
 
@@ -350,18 +355,14 @@ impl PagedKvCache {
         let Some(&slot) = self.slots.get(&seq) else {
             return;
         };
-        for page in 0..self.seqs[slot as usize].pages.len() as u32 {
-            let at = (slot, page);
-            let Page {
-                residency,
-                last_touch,
-                ..
-            } = *self.page_mut(at);
-            if residency == Residency::Live {
-                self.unlink(at);
-                self.page_mut(at).residency = Residency::Finished;
-                self.finished.insert((last_touch, (seq, page)));
+        // Live runs are the newest, so they sit at the front.
+        for run in &mut self.seqs[slot as usize].runs {
+            if run.finished {
+                break;
             }
+            self.victims.remove(&run.key());
+            run.finished = true;
+            self.victims.insert(run.key(), slot);
         }
     }
 }
@@ -380,13 +381,13 @@ mod tests {
     }
 
     /// Whether page `page` of sequence `seq` is in HBM, read off the
-    /// per-sequence page index.
+    /// sequence's runs.
     fn resident(kv: &PagedKvCache, seq: u64, page: u32) -> bool {
         kv.slots.get(&seq).is_some_and(|&slot| {
             kv.seqs[slot as usize]
-                .pages
-                .get(page as usize)
-                .is_some_and(|p| p.residency != Residency::Evicted)
+                .runs
+                .iter()
+                .any(|run| (run.lo..run.hi).contains(&page))
         })
     }
 
@@ -516,6 +517,43 @@ mod tests {
         // live (and expensive to evict) again.
         assert_eq!(t.allocated + t.refaulted, 0);
         assert_eq!(kv.stats().pages_resident, 2);
+    }
+
+    /// Walk steps one touch takes.
+    fn steps_of(kv: &mut PagedKvCache, seq: u64, tokens: usize) -> u64 {
+        let before = kv.steps;
+        kv.touch(seq, tokens);
+        kv.steps - before
+    }
+
+    #[test]
+    fn a_touch_costs_steps_per_run_not_per_page() {
+        // A page-by-page walk takes one step per page of context here:
+        // thousands. Walking runs takes the same few steps at every
+        // context length.
+        for pages in [256, 1024, 4096] {
+            let tokens = pages * 4;
+            // Two long contexts thrash through a 64-page cache: every
+            // touch refaults its context, evicting the other sequence's
+            // run and then its own head.
+            let mut kv = tiny(64);
+            let thrash: Vec<u64> = [1, 2, 1, 2, 1]
+                .into_iter()
+                .map(|seq| steps_of(&mut kv, seq, tokens))
+                .collect();
+            assert_eq!(thrash, [2, 2, 2, 2, 2], "{pages} pages");
+            kv.finish(1);
+            assert_eq!(steps_of(&mut kv, 3, tokens), 2, "{pages} pages");
+            // A context as large as the cache loses its lowest page to
+            // another sequence; refaulting that page evicts the rest of
+            // its own run before the walk reaches it.
+            let mut kv = tiny(pages as u64);
+            kv.touch(1, tokens);
+            kv.touch(2, 4);
+            assert_eq!(steps_of(&mut kv, 1, tokens), 2, "{pages} pages");
+            let s = kv.stats();
+            assert_eq!(s.pages_in, s.pages_resident + s.pages_evicted);
+        }
     }
 
     proptest! {

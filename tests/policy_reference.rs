@@ -1,4 +1,4 @@
-//! Differential suite for the serving-policy fast paths: the indexed KV
+//! Differential suite for the serving-policy fast paths: the run-based KV
 //! victim order ([`PagedKvCache`]) and the dense co-activation matrix
 //! ([`ExpertStats`]) must agree, after every operation of hundreds of
 //! generated sequences, with the naive structures they replaced, kept
@@ -28,6 +28,22 @@ struct RefKv {
     high_water: BTreeMap<u64, u32>,
     clock: u64,
     stats: KvStats,
+    corners: Corners,
+}
+
+/// Victim-order situations a run-based cache must handle beyond a plain
+/// merge, as the reference model sees them. A run is a set of one
+/// sequence's pages sharing one last touch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Corners {
+    /// One touch evicted pages of at least two runs.
+    multi_run_burst: bool,
+    /// A touch evicted a page of its own sequence that it visits later.
+    own_later_run_evicted: bool,
+    /// A touch left an older run of its sequence above the new one.
+    older_run_above: bool,
+    /// One sequence held live and finished pages at once.
+    live_and_finished: bool,
 }
 
 impl RefKv {
@@ -39,6 +55,7 @@ impl RefKv {
             high_water: BTreeMap::new(),
             clock: 0,
             stats: KvStats::default(),
+            corners: Corners::default(),
         }
     }
 
@@ -49,18 +66,15 @@ impl RefKv {
         }
     }
 
-    fn evict_one(&mut self) -> bool {
-        let victim = self
+    /// Evicts the minimum page and returns its key and last touch.
+    fn evict_one(&mut self) -> Option<((u64, u32), u64)> {
+        let (&key, &(last_touch, _)) = self
             .pages
             .iter()
-            .min_by_key(|(&key, &(last_touch, finished))| (!finished, last_touch, key))
-            .map(|(&key, _)| key);
-        let Some(key) = victim else {
-            return false;
-        };
+            .min_by_key(|(&key, &(last_touch, finished))| (!finished, last_touch, key))?;
         self.pages.remove(&key);
         self.stats.pages_evicted += 1;
-        true
+        Some((key, last_touch))
     }
 
     fn touch(&mut self, seq: u64, tokens: usize) -> KvTouch {
@@ -70,6 +84,7 @@ impl RefKv {
         let old_high_water = *high_water;
         *high_water = old_high_water.max(needed);
         let mut touch = KvTouch::default();
+        let mut burst = Vec::new();
         for page in 0..needed {
             if let Some(meta) = self.pages.get_mut(&(seq, page)) {
                 *meta = (self.clock, false);
@@ -82,14 +97,28 @@ impl RefKv {
                 touch.allocated += 1;
             }
             while self.pages.len() as u64 >= self.capacity {
-                if !self.evict_one() {
+                let Some(((victim, victim_page), last_touch)) = self.evict_one() else {
                     break;
-                }
+                };
                 touch.evicted += 1;
+                self.corners.own_later_run_evicted |=
+                    victim == seq && (page + 1..needed).contains(&victim_page);
+                if !burst.contains(&(victim, last_touch)) {
+                    burst.push((victim, last_touch));
+                }
             }
             self.pages.insert((seq, page), (self.clock, false));
             self.stats.pages_in += 1;
         }
+        let own = self.pages.range((seq, 0)..=(seq, u32::MAX));
+        let (mut live, mut finished) = (false, false);
+        for (&(_, page), &(last_touch, done)) in own {
+            self.corners.older_run_above |= page >= needed && last_touch < self.clock;
+            live |= !done;
+            finished |= done;
+        }
+        self.corners.multi_run_burst |= burst.len() >= 2;
+        self.corners.live_and_finished |= live && finished;
         touch
     }
 
@@ -192,6 +221,9 @@ struct PolicyCase {
 }
 
 fn generate(rng: &mut CaseRng) -> PolicyCase {
+    if rng.usize_in(0, 4) == 0 {
+        return generate_serving(rng);
+    }
     // One case in five runs a single-page cache, where every new page
     // evicts and a multi-page context always evicts its own head.
     let capacity = if rng.usize_in(0, 5) == 0 {
@@ -240,6 +272,58 @@ fn generate(rng: &mut CaseRng) -> PolicyCase {
                 }
                 ops.push(Op::Wave(wave));
             }
+        }
+    }
+    PolicyCase {
+        capacity,
+        page_tokens,
+        n_experts,
+        alpha,
+        threshold,
+        ops,
+    }
+}
+
+/// Serving-shaped traffic: more sequences than the budget holds, each
+/// growing its context chunk by chunk to 20–64 pages and finishing when
+/// it completes, a few at a time, against a budget of 8–256 pages. Runs
+/// of many pages thrash through the cache here, where the other branch
+/// mostly evicts a page or two at a time.
+fn generate_serving(rng: &mut CaseRng) -> PolicyCase {
+    let capacity = rng.usize_in(8, 257) as u64;
+    let page_tokens = rng.usize_in(1, 6);
+    let n_experts = rng.usize_in(0, 9);
+    let alpha = 1.0 - rng.f64();
+    let threshold = [0.0, 0.35, rng.f64()][rng.usize_in(0, 3)];
+    // Final contexts of at least 20 pages each overflow the budget.
+    let seqs = capacity as usize / 20 + rng.usize_in(2, 5);
+    // `(seq, context, final context)` in tokens, next arrival last.
+    let mut pending: Vec<(u64, usize, usize)> = (0..seqs as u64)
+        .rev()
+        .map(|seq| (seq, 0, rng.usize_in(20, 65) * page_tokens))
+        .collect();
+    let concurrency = rng.usize_in(2, 9);
+    let mut active = pending.split_off(seqs.saturating_sub(concurrency));
+    let mut ops = Vec::new();
+    while !active.is_empty() {
+        let i = rng.usize_in(0, active.len());
+        let (seq, context, target) = &mut active[i];
+        // A chunk is a token up to eight pages.
+        *context = (*context + rng.usize_in(1, 8 * page_tokens + 1)).min(*target);
+        ops.push(Op::Touch {
+            seq: *seq,
+            tokens: *context,
+        });
+        if context == target {
+            ops.push(Op::Finish { seq: *seq });
+            active.swap_remove(i);
+            active.extend(pending.pop());
+        }
+        if rng.usize_in(0, 4) == 0 {
+            let wave = (0..rng.usize_in(0, 4))
+                .map(|_| rng.usize_in(0, n_experts + 1))
+                .collect();
+            ops.push(Op::Wave(wave));
         }
     }
     PolicyCase {
@@ -376,6 +460,30 @@ fn indexed_policy_structures_match_reference_models() {
     );
 }
 
+/// Whether a case looks like serving traffic: every sequence's context
+/// only grows and ends at 20 pages or more, and the final contexts
+/// together overflow a budget of at least 8 pages.
+fn serving_shaped(case: &PolicyCase) -> bool {
+    let mut contexts = BTreeMap::new();
+    for op in &case.ops {
+        if let Op::Touch { seq, tokens } = op {
+            if contexts
+                .insert(*seq, *tokens)
+                .is_some_and(|last| last > *tokens)
+            {
+                return false;
+            }
+        }
+    }
+    let pages: Vec<usize> = contexts
+        .values()
+        .map(|tokens| tokens.div_ceil(case.page_tokens))
+        .collect();
+    case.capacity >= 8
+        && pages.iter().all(|&p| p >= 20)
+        && pages.iter().sum::<usize>() > case.capacity as usize
+}
+
 /// The generator reaches every corner the suite claims to cover; a
 /// generator edit that drops one fails here instead of silently
 /// narrowing the differential.
@@ -406,5 +514,61 @@ fn generated_cases_cover_the_degenerate_corners() {
         any(&|c| c.ops.iter().any(|op| matches!(op, Op::Wave(w)
             if (1..w.len()).any(|i| w[..i].contains(&w[i]))))),
         "duplicate expert in one wave"
+    );
+    assert!(any(&serving_shaped), "serving-shaped case");
+    // Situations the run-based victim order must get right, as the
+    // reference model sees them when replaying the generated cases.
+    let mut seen = Corners::default();
+    for case in &cases {
+        let mut kv = RefKv::new(case.capacity, case.page_tokens);
+        for op in &case.ops {
+            match op {
+                Op::Touch { seq, tokens } => {
+                    kv.touch(*seq, *tokens);
+                }
+                Op::Finish { seq } => kv.finish(*seq),
+                Op::Wave(_) => {}
+            }
+        }
+        let c = kv.corners;
+        seen.multi_run_burst |= c.multi_run_burst;
+        seen.own_later_run_evicted |= c.own_later_run_evicted;
+        seen.older_run_above |= c.older_run_above;
+        seen.live_and_finished |= c.live_and_finished;
+    }
+    assert!(seen.multi_run_burst, "one eviction burst takes two runs");
+    assert!(
+        seen.own_later_run_evicted,
+        "a touch evicts its own later run before visiting it"
+    );
+    assert!(
+        seen.older_run_above,
+        "a shrinking touch leaves an older run above"
+    );
+    assert!(
+        seen.live_and_finished,
+        "live and finished runs in one sequence"
+    );
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The placement sweep — the only exhibit whose scenarios page KV
+/// state under pressure — pinned to the bytes the page-by-page victim
+/// order produced. A change to the eviction order moves the KV counters
+/// and the serve timings behind them, and with them this digest. Any
+/// change to the serving model or to the sweep legitimately moves it
+/// too; re-pin it after checking the change.
+#[test]
+fn placement_sweep_is_byte_identical_to_the_page_victim_order() {
+    let text = format!("{:?}", sn_bench::placement::placement_sweep());
+    assert_eq!(
+        (text.len(), fnv1a(text.as_bytes())),
+        (4700, 0x55e2_283c_4b2c_c565)
     );
 }
