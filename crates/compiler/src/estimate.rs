@@ -85,15 +85,14 @@ pub fn estimate_kernel(
     // the sum of per-stage service times, which for unbalanced stages is
     // much less than `stages x bottleneck`. Weight each stage by its share
     // of the bottleneck stage's work.
-    let stage_flops: Vec<f64> = kernel
+    let (stage_sum, max_stage) = kernel
         .nodes
         .iter()
         .map(|&n| graph.node_flops(n).as_f64())
         .filter(|&f| f > 0.0)
-        .collect();
-    let max_stage = stage_flops.iter().copied().fold(0.0f64, f64::max);
+        .fold((0.0f64, 0.0f64), |(sum, max), f| (sum + f, max.max(f)));
     let effective_stages = if max_stage > 0.0 {
-        (stage_flops.iter().sum::<f64>() / max_stage).max(1.0)
+        (stage_sum / max_stage).max(1.0)
     } else {
         1.0
     };

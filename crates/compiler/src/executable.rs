@@ -49,14 +49,15 @@ fn signature(graph: &Graph, nodes: &[NodeId]) -> u64 {
     h.finish()
 }
 
-/// Builds kernel descriptors from a partition.
+/// Builds kernel descriptors from a partition; each kernel takes its node
+/// list from the partition.
 pub fn build_kernels(
     graph: &Graph,
-    partition: &KernelPartition,
+    partition: KernelPartition,
     model: &ResourceModel,
 ) -> Vec<Kernel> {
     partition
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, nodes)| {
             let first = graph.node(nodes[0]);
@@ -72,9 +73,9 @@ pub fn build_kernels(
             Kernel {
                 id: KernelId(i as u32),
                 name,
-                nodes: nodes.clone(),
-                resources: model.kernel_resources(graph, nodes),
-                program_signature: signature(graph, nodes),
+                resources: model.kernel_resources(graph, &nodes),
+                program_signature: signature(graph, &nodes),
+                nodes,
             }
         })
         .collect()
@@ -88,6 +89,10 @@ pub struct Executable {
     kernels: Vec<Kernel>,
     estimates: Vec<KernelEstimate>,
     memory: MemoryPlan,
+    /// [`Executable::distinct_programs`], counted once.
+    distinct_programs: usize,
+    /// [`Executable::execution_time`], summed once.
+    execution_time: TimeSecs,
 }
 
 impl Executable {
@@ -99,12 +104,18 @@ impl Executable {
         memory: MemoryPlan,
     ) -> Self {
         assert_eq!(kernels.len(), estimates.len());
+        let mut sigs: Vec<u64> = kernels.iter().map(|k| k.program_signature).collect();
+        sigs.sort_unstable();
+        sigs.dedup();
+        let execution_time = estimates.iter().map(|e| e.time).sum();
         Executable {
             name,
             policy,
             kernels,
             estimates,
             memory,
+            distinct_programs: sigs.len(),
+            execution_time,
         }
     }
 
@@ -135,16 +146,13 @@ impl Executable {
 
     /// Number of distinct kernel programs (shared signatures collapse).
     pub fn distinct_programs(&self) -> usize {
-        let mut sigs: Vec<u64> = self.kernels.iter().map(|k| k.program_signature).collect();
-        sigs.sort_unstable();
-        sigs.dedup();
-        sigs.len()
+        self.distinct_programs
     }
 
     /// Pure execution time (no launch overheads): the sum of kernel
     /// estimates — kernels run back to back on the socket.
     pub fn execution_time(&self) -> TimeSecs {
-        self.estimates.iter().map(|e| e.time).sum()
+        self.execution_time
     }
 
     /// Total off-chip traffic of one execution.
@@ -194,11 +202,12 @@ impl Executable {
     }
 }
 
+/// The first `n` characters of `s` (the report's column width counts
+/// characters, and a byte cut could split one).
 fn truncate(s: &str, n: usize) -> &str {
-    if s.len() <= n {
-        s
-    } else {
-        &s[..n]
+    match s.char_indices().nth(n) {
+        Some((end, _)) => &s[..end],
+        None => s,
     }
 }
 
@@ -237,6 +246,25 @@ mod tests {
             1,
             "identical layers share the bitstream"
         );
+    }
+
+    #[test]
+    fn summary_cuts_long_names_at_a_char_boundary() {
+        let g = layered_graph(1);
+        let c = Compiler::new(SocketSpec::sn40l(), Calibration::baseline());
+        let mut exe = c.compile(&g, FusionPolicy::Spatial).unwrap();
+        let short = format!("a{}", "é".repeat(25));
+        exe.kernels[0].name = short.clone();
+        assert!(
+            exe.summary().contains(&short),
+            "26 characters fit the column"
+        );
+        exe.kernels[0].name = "é".repeat(45);
+        let summary = exe.summary();
+        assert!(summary.contains(&"é".repeat(40)));
+        assert!(!summary.contains(&"é".repeat(41)));
+        assert_eq!(truncate("abc", 40), "abc");
+        assert_eq!(truncate(&"x".repeat(50), 40), "x".repeat(40));
     }
 
     #[test]

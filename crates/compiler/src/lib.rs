@@ -117,7 +117,7 @@ impl Compiler {
     pub fn compile(&self, graph: &Graph, policy: FusionPolicy) -> Result<Executable, CompileError> {
         let model = ResourceModel::new(&self.socket);
         let partition = fusion::partition(graph, policy, &model)?;
-        let kernels = executable::build_kernels(graph, &partition, &model);
+        let kernels = executable::build_kernels(graph, partition, &model);
         let memory = memplan::plan(graph, &kernels, &self.socket);
         let estimates = kernels
             .iter()

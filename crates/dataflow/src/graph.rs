@@ -6,14 +6,15 @@
 //! valid topological order, which the compiler relies on.
 
 use crate::dtype::DType;
-use crate::op::{Node, OpKind};
+use crate::op::{InputShapes, Node, OpKind};
 use crate::shape::Shape;
 use crate::tensor::{TensorDef, TensorId, TensorKind};
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Flops};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Identifier of a node within one [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -60,10 +61,15 @@ pub struct Graph {
     name: String,
     tensors: Vec<TensorDef>,
     nodes: Vec<Node>,
+    /// FLOPs of each node (index-aligned with `nodes`), computed once when
+    /// the node is added.
+    flops: Vec<Flops>,
     /// producer node of each tensor (index-aligned with `tensors`).
     producers: Vec<Option<NodeId>>,
-    /// consumer nodes of each tensor.
-    consumers: Vec<Vec<NodeId>>,
+    /// Consumers of tensor `t` are `consumers[consumer_start[t]..consumer_start[t + 1]]`,
+    /// in node order (a node reading `t` twice appears twice).
+    consumer_start: Vec<u32>,
+    consumers: Vec<NodeId>,
 }
 
 impl Graph {
@@ -109,15 +115,14 @@ impl Graph {
 
     /// The nodes that consume a tensor.
     pub fn consumers(&self, id: TensorId) -> &[NodeId] {
-        &self.consumers[id.index()]
+        let i = id.index();
+        &self.consumers[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
     }
 
-    /// FLOPs performed by one node.
+    /// FLOPs performed by one node ([`OpKind::flops`] of its shapes, taken
+    /// when the node was added).
     pub fn node_flops(&self, id: NodeId) -> Flops {
-        let node = self.node(id);
-        let inputs: Vec<&Shape> = node.inputs.iter().map(|&t| &self.tensor(t).shape).collect();
-        let out = self.tensor(node.output);
-        node.op.flops(&inputs, &out.shape, out.dtype)
+        self.flops[id.index()]
     }
 
     /// Total FLOPs of the whole graph.
@@ -191,30 +196,63 @@ impl Graph {
     /// kernel: tensors read from outside the subset plus tensors written
     /// for consumption outside the subset (or graph outputs). Intermediates
     /// wholly inside the subset stay in on-chip stage buffers and count
-    /// zero (§III-A).
+    /// zero (§III-A). `nodes` may come in any order but must be distinct.
+    ///
+    /// Membership is one flag per node id between the subset's smallest
+    /// and largest member, so the cost is that span plus the edges of the
+    /// subset. A tensor read from outside counts once, at its first
+    /// consumer inside the subset.
     pub fn subset_boundary_bytes(&self, nodes: &[NodeId]) -> Bytes {
-        let inside: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
+        let (Some(lo), Some(hi)) = (nodes.iter().min(), nodes.iter().max()) else {
+            return Bytes::ZERO;
+        };
+        let mut flags = vec![false; hi.index() - lo.index() + 1];
+        for &n in nodes {
+            flags[n.index() - lo.index()] = true;
+        }
+        let inside = |n: NodeId| {
+            n.index()
+                .checked_sub(lo.index())
+                .and_then(|i| flags.get(i))
+                .is_some_and(|&f| f)
+        };
         let mut traffic = Bytes::ZERO;
-        let mut read_tensors: std::collections::HashSet<TensorId> = Default::default();
         for &nid in nodes {
             let node = self.node(nid);
-            for &t in &node.inputs {
-                let produced_inside = self
-                    .producer(t)
-                    .map(|p| inside.contains(&p))
-                    .unwrap_or(false);
-                if !produced_inside && self.tensor(t).is_offchip() && read_tensors.insert(t) {
-                    traffic += self.tensor(t).bytes();
+            for (i, &t) in node.inputs.iter().enumerate() {
+                let def = self.tensor(t);
+                if !def.is_offchip() || self.producer(t).is_some_and(inside) {
+                    continue;
+                }
+                let first_reader = self.consumers(t).iter().copied().find(|&c| inside(c));
+                if first_reader == Some(nid) && !node.inputs[..i].contains(&t) {
+                    traffic += def.bytes();
                 }
             }
-            let out = node.output;
-            let escapes = self.tensor(out).kind == TensorKind::Output
-                || self.consumers(out).iter().any(|c| !inside.contains(c));
-            if escapes && self.tensor(out).is_offchip() {
-                traffic += self.tensor(out).bytes();
+            let out = self.tensor(node.output);
+            let escapes = out.kind == TensorKind::Output
+                || self.consumers(node.output).iter().any(|&c| !inside(c));
+            if escapes && out.is_offchip() {
+                traffic += out.bytes();
             }
         }
         traffic
+    }
+}
+
+/// A node's input shapes, read in place from the tensor table.
+struct TensorShapes<'a> {
+    tensors: &'a [TensorDef],
+    ids: &'a [TensorId],
+}
+
+impl InputShapes for TensorShapes<'_> {
+    fn count(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn shape(&self, i: usize) -> &Shape {
+        &self.tensors[self.ids[i].index()].shape
     }
 }
 
@@ -236,9 +274,11 @@ pub struct GraphBuilder {
     name: String,
     tensors: Vec<TensorDef>,
     nodes: Vec<Node>,
+    flops: Vec<Flops>,
     producers: Vec<Option<NodeId>>,
-    consumers: Vec<Vec<NodeId>>,
-    names_seen: HashMap<String, u32>,
+    names: NameCounts,
+    /// Reused buffer for a node's `<name>.out` output-tensor name.
+    out_name: String,
     region: u32,
 }
 
@@ -249,9 +289,10 @@ impl GraphBuilder {
             name: name.into(),
             tensors: Vec::new(),
             nodes: Vec::new(),
+            flops: Vec::new(),
             producers: Vec::new(),
-            consumers: Vec::new(),
-            names_seen: HashMap::new(),
+            names: NameCounts::default(),
+            out_name: String::new(),
             region: 0,
         }
     }
@@ -262,14 +303,47 @@ impl GraphBuilder {
         self.region = region;
     }
 
-    fn unique_name(&mut self, base: &str) -> String {
-        let n = self.names_seen.entry(base.to_string()).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            base.to_string()
-        } else {
-            format!("{base}#{n}")
+    /// `base` on its first use, `base#n` on its n-th. `owner` is where
+    /// the returned name is stored next.
+    fn unique_name(&mut self, base: &str, owner: NameOwner) -> String {
+        let (tensors, nodes) = (&self.tensors, &self.nodes);
+        let n = self.names.bump(base, owner, |o| match o {
+            NameOwner::Tensor(i) => &tensors[i as usize].name,
+            NameOwner::Node(i) => &nodes[i as usize].name,
+        });
+        if n == 1 {
+            return base.to_owned();
         }
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+        let mut name = String::with_capacity(base.len() + 1 + digits.len());
+        name.push_str(base);
+        name.push('#');
+        name.push_str(digits);
+        name
+    }
+
+    fn push_tensor(
+        &mut self,
+        name: String,
+        shape: Shape,
+        dtype: DType,
+        kind: TensorKind,
+    ) -> TensorId {
+        let id = TensorId(self.tensors.len() as u32);
+        self.tensors.push(TensorDef::new(name, shape, dtype, kind));
+        self.producers.push(None);
+        id
     }
 
     /// Declares a source tensor (input, weight, metadata, KV cache, or
@@ -281,12 +355,9 @@ impl GraphBuilder {
         dtype: DType,
         kind: TensorKind,
     ) -> TensorId {
-        let name = self.unique_name(name.as_ref());
-        let id = TensorId(self.tensors.len() as u32);
-        self.tensors.push(TensorDef::new(name, shape, dtype, kind));
-        self.producers.push(None);
-        self.consumers.push(Vec::new());
-        id
+        let owner = NameOwner::Tensor(self.tensors.len() as u32);
+        let name = self.unique_name(name.as_ref(), owner);
+        self.push_tensor(name, shape, dtype, kind)
     }
 
     /// Adds an operator node consuming existing tensors; the output tensor
@@ -320,24 +391,23 @@ impl GraphBuilder {
                 return Err(GraphError::UnknownTensor(format!("{t}")));
             }
         }
-        let shapes: Vec<&Shape> = inputs
-            .iter()
-            .map(|&t| &self.tensors[t.index()].shape)
-            .collect();
+        let shapes = TensorShapes {
+            tensors: &self.tensors,
+            ids: inputs,
+        };
         let out_shape = op.infer_shape(&shapes).map_err(GraphError::Shape)?;
         let dtype = out_dtype.unwrap_or_else(|| self.tensors[inputs[0].index()].dtype);
-        let node_name = self.unique_name(name.as_ref());
+        self.flops.push(op.flops(&shapes, &out_shape, dtype));
+        let nid = NodeId(self.nodes.len() as u32);
+        let node_name = self.unique_name(name.as_ref(), NameOwner::Node(nid.0));
+        let out = TensorId(self.tensors.len() as u32);
         let out_kind = if matches!(op, OpKind::KvAppend) {
             TensorKind::KvCache
         } else {
             TensorKind::Activation
         };
-        let out = self.tensor(format!("{node_name}.out"), out_shape, dtype, out_kind);
-        let nid = NodeId(self.nodes.len() as u32);
-        for &t in inputs {
-            self.consumers[t.index()].push(nid);
-        }
-        self.producers[out.index()] = Some(nid);
+        // The node goes in first: the output's name is looked up next and
+        // may compare against it.
         self.nodes.push(Node {
             name: node_name,
             op,
@@ -345,6 +415,14 @@ impl GraphBuilder {
             output: out,
             region: self.region,
         });
+        let mut out_name = std::mem::take(&mut self.out_name);
+        out_name.clear();
+        out_name.push_str(&self.nodes[nid.index()].name);
+        out_name.push_str(".out");
+        let unique = self.unique_name(&out_name, NameOwner::Tensor(out.0));
+        self.out_name = out_name;
+        self.push_tensor(unique, out_shape, dtype, out_kind);
+        self.producers[out.index()] = Some(nid);
         Ok(out)
     }
 
@@ -377,13 +455,111 @@ impl GraphBuilder {
         if self.nodes.is_empty() {
             return Err(GraphError::Empty);
         }
+        // Consumer lists as one array, bucketed by tensor in node order.
+        let mut consumer_start = vec![0u32; self.tensors.len() + 1];
+        for node in &self.nodes {
+            for &t in &node.inputs {
+                consumer_start[t.index() + 1] += 1;
+            }
+        }
+        for i in 1..consumer_start.len() {
+            consumer_start[i] += consumer_start[i - 1];
+        }
+        let mut next = consumer_start.clone();
+        let mut consumers = vec![NodeId(0); *consumer_start.last().expect("non-empty") as usize];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for &t in &node.inputs {
+                consumers[next[t.index()] as usize] = NodeId(i as u32);
+                next[t.index()] += 1;
+            }
+        }
         Ok(Graph {
             name: self.name,
             tensors: self.tensors,
             nodes: self.nodes,
+            flops: self.flops,
             producers: self.producers,
-            consumers: self.consumers,
+            consumer_start,
+            consumers,
         })
+    }
+}
+
+/// Where the first use of a name is stored verbatim.
+#[derive(Debug, Clone, Copy)]
+enum NameOwner {
+    Tensor(u32),
+    Node(u32),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct NameEntry {
+    hash: u64,
+    owner: NameOwner,
+    uses: u32,
+}
+
+/// How many times each name has been asked for, keyed by the name without
+/// a copy of it: the first use of a name is stored verbatim as a tensor or
+/// node name, so an entry points at that owner and a probe compares against
+/// it. Open addressing with linear probing; the table is a power of two
+/// and at most half full.
+#[derive(Debug, Clone, Default)]
+struct NameCounts {
+    /// Index + 1 into `entries` per slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    entries: Vec<NameEntry>,
+}
+
+impl NameCounts {
+    /// Counts one more use of `name` and returns its uses so far. A first
+    /// use records `owner`, where the caller stores `name` next;
+    /// `name_of` reads the name stored at an earlier owner.
+    fn bump<'a>(
+        &mut self,
+        name: &str,
+        owner: NameOwner,
+        name_of: impl Fn(NameOwner) -> &'a str,
+    ) -> u32 {
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(name);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.entries.push(NameEntry {
+                        hash,
+                        owner,
+                        uses: 1,
+                    });
+                    self.slots[i] = self.entries.len() as u32;
+                    return 1;
+                }
+                e => {
+                    let entry = &mut self.entries[e as usize - 1];
+                    if entry.hash == hash && name_of(entry.owner) == name {
+                        entry.uses += 1;
+                        return entry.uses;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(64);
+        self.slots = vec![0; len];
+        for (e, entry) in self.entries.iter().enumerate() {
+            let mut i = entry.hash as usize & (len - 1);
+            while self.slots[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = e as u32 + 1;
+        }
     }
 }
 
@@ -486,6 +662,39 @@ mod tests {
             .unwrap();
         let g = b.build().unwrap();
         assert_ne!(g.nodes()[0].name, g.nodes()[1].name);
+    }
+
+    #[test]
+    fn names_count_uses_per_requested_name() {
+        let mut b = GraphBuilder::new("names");
+        let x = b.tensor("x", Shape::mat(4, 4), DType::Bf16, TensorKind::Input);
+        let neg = || OpKind::Unary(crate::op::UnaryKind::Neg);
+        let a = b.node("x", neg(), &[x]).unwrap();
+        let _ = b.tensor("x.out", Shape::mat(4, 4), DType::Bf16, TensorKind::Input);
+        let _ = b.node("x#2", neg(), &[a]).unwrap();
+        let _ = b.node("x", neg(), &[a]).unwrap();
+        let g = b.build().unwrap();
+        let tensors: Vec<&str> = g.tensors().iter().map(|t| t.name.as_str()).collect();
+        let nodes: Vec<&str> = g.nodes().iter().map(|n| n.name.as_str()).collect();
+        // A name's n-th request gets `#n`. A first request for a derived
+        // form gets it verbatim, so names may repeat.
+        assert_eq!(tensors, ["x", "x#2.out", "x.out", "x#2.out#2", "x#3.out"]);
+        assert_eq!(nodes, ["x#2", "x#2", "x#3"]);
+    }
+
+    #[test]
+    fn malformed_reshape_and_transpose_are_shape_errors() {
+        let mut b = GraphBuilder::new("bad");
+        let x = b.tensor("x", Shape::mat(16, 4), DType::Bf16, TensorKind::Input);
+        for op in [
+            OpKind::Reshape { dims: vec![] },
+            OpKind::Reshape { dims: vec![16, 0] },
+            OpKind::Transpose { perm: vec![0, 0] },
+        ] {
+            let err = b.node("bad", op, &[x]);
+            assert!(matches!(err, Err(GraphError::Shape(_))), "{err:?}");
+        }
+        assert_eq!(b.node_count(), 0);
     }
 
     #[test]

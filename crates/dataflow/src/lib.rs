@@ -34,6 +34,6 @@ pub mod tensor;
 
 pub use dtype::DType;
 pub use graph::{Graph, GraphBuilder, GraphError, NodeId};
-pub use op::{AccessPattern, BinaryKind, Node, OpKind, ReduceKind, UnaryKind};
+pub use op::{AccessPattern, BinaryKind, InputShapes, Node, OpKind, ReduceKind, UnaryKind};
 pub use shape::Shape;
 pub use tensor::{TensorDef, TensorId, TensorKind};

@@ -82,6 +82,40 @@ pub enum AccessPattern {
     Collective,
 }
 
+/// The shapes of an operator's inputs, in order. A slice or array of
+/// shapes is one; a graph reads its tensor table in place through another,
+/// so inferring a node's shape and FLOPs collects nothing.
+pub trait InputShapes {
+    /// Number of inputs.
+    fn count(&self) -> usize;
+    /// Shape of input `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.count()`.
+    fn shape(&self, i: usize) -> &Shape;
+}
+
+impl InputShapes for [&Shape] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn shape(&self, i: usize) -> &Shape {
+        self[i]
+    }
+}
+
+impl<const N: usize> InputShapes for [&Shape; N] {
+    fn count(&self) -> usize {
+        N
+    }
+
+    fn shape(&self, i: usize) -> &Shape {
+        self[i]
+    }
+}
+
 /// An operator with its static parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum OpKind {
@@ -153,20 +187,24 @@ impl OpKind {
     /// # Errors
     ///
     /// Returns a message when the inputs are malformed for this operator
-    /// (wrong arity, mismatched contraction dimensions, bad axis).
-    pub fn infer_shape(&self, inputs: &[&Shape]) -> Result<Shape, String> {
-        fn arity(inputs: &[&Shape], n: usize, op: &OpKind) -> Result<(), String> {
-            if inputs.len() != n {
-                Err(format!("{op:?} expects {n} inputs, got {}", inputs.len()))
+    /// (wrong arity, mismatched contraction dimensions, bad axis) or its
+    /// parameters are (a reshape to no or a zero dimension, a transpose by
+    /// something other than a permutation of the input's axes).
+    pub fn infer_shape<I: InputShapes + ?Sized>(&self, inputs: &I) -> Result<Shape, String> {
+        let arity = |n: usize| {
+            if inputs.count() != n {
+                Err(format!(
+                    "{self:?} expects {n} inputs, got {}",
+                    inputs.count()
+                ))
             } else {
                 Ok(())
             }
-        }
+        };
         match self {
             OpKind::Gemm { transpose_b } | OpKind::SparseGemm { transpose_b, .. } => {
-                arity(inputs, 2, self)?;
-                let a = inputs[0];
-                let b = inputs[1];
+                arity(2)?;
+                let (a, b) = (inputs.shape(0), inputs.shape(1));
                 let k = a.inner();
                 // Rank-2 rhs: a shared weight/factor matrix. Rank-3 rhs: a
                 // batched GEMM where the leading axes must match (attention
@@ -199,12 +237,12 @@ impl OpKind {
                 Ok(Shape::new(dims))
             }
             OpKind::Unary(_) | OpKind::Rope => {
-                arity(inputs, 1, self)?;
-                Ok(inputs[0].clone())
+                arity(1)?;
+                Ok(inputs.shape(0).clone())
             }
             OpKind::Binary(_) => {
-                arity(inputs, 2, self)?;
-                let (a, b) = (inputs[0], inputs[1]);
+                arity(2)?;
+                let (a, b) = (inputs.shape(0), inputs.shape(1));
                 if a == b || b.elements() == 1 || b.elements() as usize == a.inner() {
                     Ok(a.clone())
                 } else {
@@ -212,33 +250,44 @@ impl OpKind {
                 }
             }
             OpKind::Reshape { dims } => {
-                arity(inputs, 1, self)?;
-                let target = Shape::new(dims.clone());
-                if target.elements() != inputs[0].elements() {
+                arity(1)?;
+                let source = inputs.shape(0);
+                if dims.is_empty() || dims.contains(&0) {
                     return Err(format!(
-                        "reshape {} -> {target} changes element count",
-                        inputs[0]
+                        "reshape {source} -> {dims:?}: empty or zero dimension"
+                    ));
+                }
+                let target = Shape::new(dims.clone());
+                if target.elements() != source.elements() {
+                    return Err(format!(
+                        "reshape {source} -> {target} changes element count"
                     ));
                 }
                 Ok(target)
             }
             OpKind::Transpose { perm } => {
-                arity(inputs, 1, self)?;
-                if perm.len() != inputs[0].rank() {
-                    return Err(format!("perm {perm:?} does not match {}", inputs[0]));
+                arity(1)?;
+                let source = inputs.shape(0);
+                if perm.len() != source.rank() {
+                    return Err(format!("perm {perm:?} does not match {source}"));
                 }
-                Ok(inputs[0].permute(perm))
+                // `perm` has one entry per axis, so it is a permutation
+                // exactly when every axis appears in it.
+                if !(0..perm.len()).all(|axis| perm.contains(&axis)) {
+                    return Err(format!("perm {perm:?} is not a permutation of {source}"));
+                }
+                Ok(source.permute(perm))
             }
             OpKind::Softmax | OpKind::RmsNorm | OpKind::LayerNorm => {
                 // Norms may take optional scale/bias vectors as extra inputs.
-                if inputs.is_empty() {
+                if inputs.count() == 0 {
                     return Err(format!("{self:?} needs at least one input"));
                 }
-                Ok(inputs[0].clone())
+                Ok(inputs.shape(0).clone())
             }
             OpKind::Reduce(_) => {
-                arity(inputs, 1, self)?;
-                let d = inputs[0].dims();
+                arity(1)?;
+                let d = inputs.shape(0).dims();
                 if d.len() == 1 {
                     Ok(Shape::scalar())
                 } else {
@@ -246,9 +295,8 @@ impl OpKind {
                 }
             }
             OpKind::Embedding => {
-                arity(inputs, 2, self)?;
-                let table = inputs[0];
-                let ids = inputs[1];
+                arity(2)?;
+                let (table, ids) = (inputs.shape(0), inputs.shape(1));
                 if table.rank() != 2 {
                     return Err(format!("embedding table must be rank-2, got {table}"));
                 }
@@ -257,29 +305,29 @@ impl OpKind {
                 Ok(Shape::new(dims))
             }
             OpKind::Slice { axis, parts, index } => {
-                arity(inputs, 1, self)?;
-                let mut dims = inputs[0].dims().to_vec();
+                arity(1)?;
+                let mut dims = inputs.shape(0).dims().to_vec();
                 if *axis >= dims.len() || *index >= *parts {
                     return Err(format!("bad slice axis={axis} parts={parts} index={index}"));
                 }
                 if !dims[*axis].is_multiple_of(*parts) {
                     return Err(format!(
                         "axis {axis} of {} not divisible by {parts}",
-                        inputs[0]
+                        inputs.shape(0)
                     ));
                 }
                 dims[*axis] /= parts;
                 Ok(Shape::new(dims))
             }
             OpKind::Concat { axis } => {
-                if inputs.is_empty() {
+                if inputs.count() == 0 {
                     return Err("concat needs at least one input".to_string());
                 }
-                let mut dims = inputs[0].dims().to_vec();
+                let mut dims = inputs.shape(0).dims().to_vec();
                 if *axis >= dims.len() {
                     return Err(format!("bad concat axis {axis}"));
                 }
-                for s in &inputs[1..] {
+                for s in (1..inputs.count()).map(|i| inputs.shape(i)) {
                     if s.rank() != dims.len() {
                         return Err("concat rank mismatch".to_string());
                     }
@@ -288,30 +336,35 @@ impl OpKind {
                 Ok(Shape::new(dims))
             }
             OpKind::KvAppend => {
-                arity(inputs, 2, self)?;
+                arity(2)?;
                 // inputs: (cache, new rows); output has cache shape.
-                Ok(inputs[0].clone())
+                Ok(inputs.shape(0).clone())
             }
             OpKind::AllReduce { participants } => {
                 if *participants == 0 {
                     return Err("allreduce needs at least one participant".to_string());
                 }
-                arity(inputs, 1, self)?;
-                Ok(inputs[0].clone())
+                arity(1)?;
+                Ok(inputs.shape(0).clone())
             }
         }
     }
 
     /// FLOPs performed given input shapes, output shape, and the data type.
-    pub fn flops(&self, inputs: &[&Shape], output: &Shape, dtype: DType) -> Flops {
+    pub fn flops<I: InputShapes + ?Sized>(
+        &self,
+        inputs: &I,
+        output: &Shape,
+        dtype: DType,
+    ) -> Flops {
         let out_elems = output.elements() as f64;
         let f = match self {
             OpKind::Gemm { .. } => {
-                let k = inputs[0].inner() as f64;
+                let k = inputs.shape(0).inner() as f64;
                 out_elems * k * dtype.flops_per_mac() as f64
             }
             OpKind::SparseGemm { density, .. } => {
-                let k = inputs[0].inner() as f64;
+                let k = inputs.shape(0).inner() as f64;
                 out_elems * k * dtype.flops_per_mac() as f64 * density
             }
             OpKind::Unary(u) => out_elems * u.flops_per_element() as f64,
@@ -321,7 +374,7 @@ impl OpKind {
             OpKind::RmsNorm => out_elems * 4.0,
             OpKind::LayerNorm => out_elems * 5.0,
             OpKind::Rope => out_elems * 6.0,
-            OpKind::Reduce(_) => inputs[0].elements() as f64,
+            OpKind::Reduce(_) => inputs.shape(0).elements() as f64,
             OpKind::Transpose { .. }
             | OpKind::Reshape { .. }
             | OpKind::Embedding
@@ -516,6 +569,26 @@ mod tests {
         let bad = OpKind::Reshape { dims: vec![4, 4] };
         assert!(bad.infer_shape(&[&s(&[8, 8])]).is_err());
         assert_eq!(op.access_pattern(), AccessPattern::Reorder);
+    }
+
+    #[test]
+    fn reshape_to_empty_or_zero_dims_is_an_error() {
+        let x = s(&[16, 4]);
+        for dims in [vec![], vec![16, 0], vec![0]] {
+            let op = OpKind::Reshape { dims };
+            assert!(op.infer_shape(&[&x]).is_err(), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn transpose_by_a_non_permutation_is_an_error() {
+        let x = s(&[4, 8]);
+        for perm in [vec![0, 0], vec![1, 1], vec![0, 2]] {
+            let op = OpKind::Transpose { perm };
+            assert!(op.infer_shape(&[&x]).is_err(), "{op:?}");
+        }
+        let wrong_rank = OpKind::Transpose { perm: vec![0] };
+        assert!(wrong_rank.infer_shape(&[&x]).is_err());
     }
 
     #[test]

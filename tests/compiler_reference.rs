@@ -12,26 +12,41 @@
 //! under both spill policies. The reference spill loop costs
 //! O(spills · kernels · symbols), so spilling cases stay on small
 //! generated graphs; the Table II graphs run at the default budget.
+//!
+//! The graph's per-node facts have reference models too: FLOPs recomputed
+//! from the shapes on every call (the graph now stores them at build),
+//! kernel boundary traffic from two hash sets (now one dense membership
+//! span), and name uniquing through an owned-key map and `format!` (now
+//! counted in place). Generated graphs compare them on unsorted and gapped
+//! subsets, on-chip generated operands, and names that collide with other
+//! names' derived `.out` and `#n` forms. A pinned digest of the 34 Table II
+//! executables holds the whole compile to the bytes those models produced.
 
 mod common;
 
 use common::{check_cases, CaseRng};
 use samba_coe::models::table2;
-use sn_arch::{Bytes, SocketSpec};
+use sn_arch::{Bytes, Calibration, Flops, SocketSpec};
 use sn_compiler::executable::build_kernels;
 use sn_compiler::fusion::{self, FusionPolicy};
 use sn_compiler::memplan::{self, SpillPolicy, SymbolPlacement};
-use sn_compiler::{Kernel, ResourceModel};
+use sn_compiler::{Compiler, Kernel, ResourceModel};
 use sn_dataflow::intensity::KernelPartition;
 use sn_dataflow::{
-    BinaryKind, DType, Graph, GraphBuilder, OpKind, Shape, TensorId, TensorKind, UnaryKind,
+    BinaryKind, DType, Graph, GraphBuilder, NodeId, OpKind, Shape, TensorId, TensorKind, UnaryKind,
 };
 use sn_memsim::{MemoryTier, RegionAllocator};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 const CASES: usize = 500;
 const JOBS: usize = 2;
 const SEED: u64 = 0xc0de_91a2;
+/// Seed of the per-node-facts differential (its own stream, so the
+/// compiler-pass cases above stay as they were).
+const FACTS_SEED: u64 = 0xfac7_5eed;
+/// Node subsets compared per generated graph.
+const SUBSETS_PER_CASE: usize = 8;
 
 /// Mirrors the planner's private reuse factor for persistent symbols.
 const PERSISTENT_REUSE: u64 = 16;
@@ -73,6 +88,89 @@ fn ref_partition(
             Ok(kernels)
         }
     }
+}
+
+/// Reference FLOPs: recomputed from the node's shapes on every call.
+fn ref_node_flops(graph: &Graph, id: NodeId) -> Flops {
+    let node = graph.node(id);
+    let inputs: Vec<&Shape> = node
+        .inputs
+        .iter()
+        .map(|&t| &graph.tensor(t).shape)
+        .collect();
+    let out = graph.tensor(node.output);
+    node.op.flops(&inputs[..], &out.shape, out.dtype)
+}
+
+/// Reference boundary traffic: hash-set membership and a hash set of the
+/// tensors already counted.
+fn ref_subset_boundary_bytes(graph: &Graph, nodes: &[NodeId]) -> Bytes {
+    let inside: HashSet<NodeId> = nodes.iter().copied().collect();
+    let mut traffic = Bytes::ZERO;
+    let mut read_tensors: HashSet<TensorId> = HashSet::new();
+    for &nid in nodes {
+        let node = graph.node(nid);
+        for &t in &node.inputs {
+            let produced_inside = graph
+                .producer(t)
+                .map(|p| inside.contains(&p))
+                .unwrap_or(false);
+            if !produced_inside && graph.tensor(t).is_offchip() && read_tensors.insert(t) {
+                traffic += graph.tensor(t).bytes();
+            }
+        }
+        let out = node.output;
+        let escapes = graph.tensor(out).kind == TensorKind::Output
+            || graph.consumers(out).iter().any(|c| !inside.contains(c));
+        if escapes && graph.tensor(out).is_offchip() {
+            traffic += graph.tensor(out).bytes();
+        }
+    }
+    traffic
+}
+
+/// Reference name uniquing: an owned key per lookup and `format!` for
+/// every suffix.
+#[derive(Default)]
+struct RefNames(HashMap<String, u32>);
+
+impl RefNames {
+    fn unique_name(&mut self, base: &str) -> String {
+        let n = self.0.entry(base.to_string()).or_insert(0);
+        *n += 1;
+        if *n == 1 {
+            base.to_string()
+        } else {
+            format!("{base}#{n}")
+        }
+    }
+}
+
+/// Replays a builder's requested names through [`RefNames`]: the tensor
+/// names and node names the builder must have produced, and how many
+/// requests named something an earlier request had produced as a derived
+/// (`.out` or `#n`) form.
+fn ref_names(log: &[(bool, String)]) -> (Vec<String>, Vec<String>, usize) {
+    let mut names = RefNames::default();
+    let (mut tensors, mut nodes) = (Vec::new(), Vec::new());
+    let mut derived: HashSet<String> = HashSet::new();
+    let mut collisions = 0;
+    for (is_node, base) in log {
+        collisions += usize::from(derived.contains(base));
+        let name = names.unique_name(base);
+        if name != *base {
+            derived.insert(name.clone());
+        }
+        if *is_node {
+            let out = names.unique_name(&format!("{name}.out"));
+            derived.insert(out.clone());
+            tensors.push(out);
+            nodes.push(name);
+        } else {
+            tensors.push(name);
+        }
+    }
+    (tensors, nodes, collisions)
 }
 
 /// Reference plan: `(placements, hbm_peak, spilled)`.
@@ -265,6 +363,11 @@ struct Seen {
     spills: usize,
     unplaced: usize,
     budget_splits: usize,
+    unsorted_subsets: usize,
+    gapped_subsets: usize,
+    generated_reads: usize,
+    repeated_reads: usize,
+    name_collisions: usize,
 }
 
 /// Compares the fast passes with the references on one graph and socket,
@@ -292,7 +395,7 @@ fn compare(
             .windows(2)
             .filter(|w| graph.node(w[0][w[0].len() - 1]).region == graph.node(w[1][0]).region)
             .count();
-        let kernels = build_kernels(graph, &partition, &model);
+        let kernels = build_kernels(graph, partition, &model);
         let plan = memplan::plan_with_policy(graph, &kernels, socket, policy);
         let (placements, hbm_peak, spilled) = ref_plan(graph, &kernels, socket, policy);
         if plan.placements() != placements.as_slice() {
@@ -355,6 +458,9 @@ enum Step {
     },
     /// Marks the current value a graph output; later steps still read it.
     Output,
+    /// Multiplies the current value by itself (one node reading one
+    /// tensor twice). Only the per-node-facts generator inserts it.
+    Square,
 }
 
 #[derive(Debug, Clone)]
@@ -385,10 +491,55 @@ struct CompilerCase {
 const DIMS: [usize; 5] = [1, 7, 128, 500, 2048];
 const WIDTHS: [usize; 4] = [64, 256, 1024, 4096];
 
+/// Names a colliding [`Namer`] draws from: each is another one's derived
+/// `.out` or `#n` form, or repeats.
+const NAME_POOL: [&str; 8] = [
+    "x", "x.out", "x#2", "x#2.out", "x.out#2", "proj", "proj#3", "w",
+];
+
+/// Names the generated graph's tensors and nodes: each step's own name,
+/// or (colliding) names drawn from [`NAME_POOL`]. Logs every request in
+/// builder-call order as `(is_node, name)`.
+#[derive(Default)]
+struct Namer {
+    pool: Option<CaseRng>,
+    log: Vec<(bool, String)>,
+}
+
+impl Namer {
+    fn colliding(seed: u64) -> Self {
+        Namer {
+            pool: Some(CaseRng::new(seed)),
+            log: Vec::new(),
+        }
+    }
+
+    fn tensor(&mut self, own: &str) -> String {
+        self.name(false, own)
+    }
+
+    fn node(&mut self, own: &str) -> String {
+        self.name(true, own)
+    }
+
+    fn name(&mut self, is_node: bool, own: &str) -> String {
+        let name = match &mut self.pool {
+            Some(rng) => NAME_POOL[rng.usize_in(0, NAME_POOL.len())],
+            None => own,
+        };
+        self.log.push((is_node, name.to_string()));
+        name.to_string()
+    }
+}
+
 fn build_graph(case: &CompilerCase) -> Graph {
+    build_named_graph(case, &mut Namer::default())
+}
+
+fn build_named_graph(case: &CompilerCase, names: &mut Namer) -> Graph {
     let mut b = GraphBuilder::new("generated");
     let mut cur = b.tensor(
-        "x",
+        names.tensor("x"),
         Shape::mat(case.rows, case.width),
         DType::Bf16,
         TensorKind::Input,
@@ -402,13 +553,22 @@ fn build_graph(case: &CompilerCase) -> Graph {
         for step in &layer.steps {
             let next = match *step {
                 Step::Gemm { out } => {
-                    let w = b.tensor("w", Shape::mat(width, out), DType::Bf16, TensorKind::Weight);
+                    let w = b.tensor(
+                        names.tensor("w"),
+                        Shape::mat(width, out),
+                        DType::Bf16,
+                        TensorKind::Weight,
+                    );
                     width = out;
-                    b.node("proj", OpKind::Gemm { transpose_b: false }, &[cur, w])
+                    b.node(
+                        names.node("proj"),
+                        OpKind::Gemm { transpose_b: false },
+                        &[cur, w],
+                    )
                 }
-                Step::Act => b.node("act", OpKind::Unary(UnaryKind::Gelu), &[cur]),
-                Step::Norm => b.node("norm", OpKind::RmsNorm, &[cur]),
-                Step::Softmax => b.node("softmax", OpKind::Softmax, &[cur]),
+                Step::Act => b.node(names.node("act"), OpKind::Unary(UnaryKind::Gelu), &[cur]),
+                Step::Norm => b.node(names.node("norm"), OpKind::RmsNorm, &[cur]),
+                Step::Softmax => b.node(names.node("softmax"), OpKind::Softmax, &[cur]),
                 Step::Residual { back } => {
                     let same: Vec<TensorId> = values
                         .iter()
@@ -417,9 +577,11 @@ fn build_graph(case: &CompilerCase) -> Graph {
                         .map(|&(t, _)| t)
                         .collect();
                     match same.get(back % same.len().max(1)) {
-                        Some(&skip) => {
-                            b.node("residual", OpKind::Binary(BinaryKind::Add), &[cur, skip])
-                        }
+                        Some(&skip) => b.node(
+                            names.node("residual"),
+                            OpKind::Binary(BinaryKind::Add),
+                            &[cur, skip],
+                        ),
                         None => continue,
                     }
                 }
@@ -428,36 +590,51 @@ fn build_graph(case: &CompilerCase) -> Graph {
                         TensorKind::Metadata => match metadata {
                             Some((t, w)) if w == width => t,
                             _ => {
-                                let t =
-                                    b.tensor("meta", Shape::new(vec![width]), DType::Bf16, kind);
+                                let t = b.tensor(
+                                    names.tensor("meta"),
+                                    Shape::new(vec![width]),
+                                    DType::Bf16,
+                                    kind,
+                                );
                                 metadata = Some((t, width));
                                 t
                             }
                         },
-                        _ => b.tensor("bias", Shape::new(vec![width]), DType::Bf16, kind),
+                        _ => b.tensor(
+                            names.tensor("bias"),
+                            Shape::new(vec![width]),
+                            DType::Bf16,
+                            kind,
+                        ),
                     };
-                    b.node("bias", OpKind::Binary(BinaryKind::Add), &[cur, v])
+                    b.node(
+                        names.node("bias"),
+                        OpKind::Binary(BinaryKind::Add),
+                        &[cur, v],
+                    )
                 }
-                Step::AllReduce { participants } => {
-                    b.node("allreduce", OpKind::AllReduce { participants }, &[cur])
-                }
+                Step::AllReduce { participants } => b.node(
+                    names.node("allreduce"),
+                    OpKind::AllReduce { participants },
+                    &[cur],
+                ),
                 Step::KvAppend { past } => {
                     let cache = b.tensor(
-                        "kv",
+                        names.tensor("kv"),
                         Shape::new(vec![1, past, width]),
                         DType::Bf16,
                         TensorKind::KvCache,
                     );
                     let rows = b
                         .node(
-                            "kv_rows",
+                            names.node("kv_rows"),
                             OpKind::Reshape {
                                 dims: vec![1, case.rows, width],
                             },
                             &[cur],
                         )
                         .expect("reshape preserves elements");
-                    b.node("kv_append", OpKind::KvAppend, &[cache, rows])
+                    b.node(names.node("kv_append"), OpKind::KvAppend, &[cache, rows])
                         .expect("append takes two inputs");
                     continue;
                 }
@@ -465,6 +642,11 @@ fn build_graph(case: &CompilerCase) -> Graph {
                     b.mark_output(cur);
                     continue;
                 }
+                Step::Square => b.node(
+                    names.node("square"),
+                    OpKind::Binary(BinaryKind::Mul),
+                    &[cur, cur],
+                ),
             };
             cur = next.expect("generated steps are well-formed");
             values.push((cur, width));
@@ -472,7 +654,7 @@ fn build_graph(case: &CompilerCase) -> Graph {
     }
     if b.node_count() == 0 {
         cur = b
-            .node("act", OpKind::Unary(UnaryKind::Gelu), &[cur])
+            .node(names.node("act"), OpKind::Unary(UnaryKind::Gelu), &[cur])
             .expect("unary on any shape");
     }
     b.mark_output(cur);
@@ -669,5 +851,212 @@ fn generated_cases_cover_the_degenerate_corners() {
     assert!(
         seen.unplaced > 0,
         "a symbol left unplaced by a fragmented HBM"
+    );
+}
+
+/// A generated graph for the per-node-facts differential: its layers, how
+/// it is named (`None`: each step's own name; `Some(seed)`: colliding
+/// names), and the seed of the node subsets compared on it.
+#[derive(Debug, Clone)]
+struct FactsCase {
+    graph: CompilerCase,
+    names: Option<u64>,
+    subsets: u64,
+}
+
+fn generate_facts(rng: &mut CaseRng) -> FactsCase {
+    let mut graph = generate(rng);
+    for layer in &mut graph.layers {
+        if rng.usize_in(0, 3) == 0 {
+            let at = rng.usize_in(0, layer.steps.len() + 1);
+            layer.steps.insert(at, Step::Square);
+        }
+    }
+    FactsCase {
+        graph,
+        names: (rng.usize_in(0, 2) == 0).then(|| rng.next_u64()),
+        subsets: rng.next_u64(),
+    }
+}
+
+fn shrink_facts(case: &FactsCase) -> Vec<FactsCase> {
+    shrink(&case.graph)
+        .into_iter()
+        .map(|graph| FactsCase {
+            graph,
+            ..case.clone()
+        })
+        .collect()
+}
+
+/// Draws a distinct, non-empty subset of `all`: everything in order, a
+/// contiguous range, or a random selection in random order.
+fn draw_subset(rng: &mut CaseRng, all: &[NodeId]) -> Vec<NodeId> {
+    let n = all.len();
+    match rng.usize_in(0, 4) {
+        0 => all.to_vec(),
+        1 => {
+            let lo = rng.usize_in(0, n);
+            all[lo..rng.usize_in(lo + 1, n + 1)].to_vec()
+        }
+        _ => {
+            let skip_one_in = rng.usize_in(2, 6);
+            let mut picked: Vec<NodeId> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.usize_in(0, skip_one_in) != 0)
+                .collect();
+            if picked.is_empty() {
+                picked.push(all[rng.usize_in(0, n)]);
+            }
+            for i in (1..picked.len()).rev() {
+                picked.swap(i, rng.usize_in(0, i + 1));
+            }
+            picked
+        }
+    }
+}
+
+fn run_facts_case(case: &FactsCase, seen: &mut Seen) -> Result<(), String> {
+    let mut namer = match case.names {
+        Some(seed) => Namer::colliding(seed),
+        None => Namer::default(),
+    };
+    let graph = build_named_graph(&case.graph, &mut namer);
+
+    let (tensors, nodes, collisions) = ref_names(&namer.log);
+    let got_tensors: Vec<&str> = graph.tensors().iter().map(|t| t.name.as_str()).collect();
+    let got_nodes: Vec<&str> = graph.nodes().iter().map(|n| n.name.as_str()).collect();
+    if got_tensors != tensors || got_nodes != nodes {
+        return Err(format!(
+            "names {got_tensors:?} / {got_nodes:?} != {tensors:?} / {nodes:?}"
+        ));
+    }
+    seen.name_collisions += collisions;
+
+    for nid in graph.node_ids() {
+        let (got, want) = (graph.node_flops(nid), ref_node_flops(&graph, nid));
+        if got.as_f64().to_bits() != want.as_f64().to_bits() {
+            return Err(format!("{nid} flops {got:?} != {want:?}"));
+        }
+    }
+
+    let mut rng = CaseRng::new(case.subsets);
+    let model = ResourceModel::new(&SocketSpec::sn40l());
+    let kernels = fusion::partition(&graph, FusionPolicy::Spatial, &model).unwrap_or_default();
+    let all: Vec<NodeId> = graph.node_ids().collect();
+    let drawn = (0..SUBSETS_PER_CASE).map(|_| draw_subset(&mut rng, &all));
+    for subset in kernels.into_iter().chain(drawn) {
+        let (got, want) = (
+            graph.subset_boundary_bytes(&subset),
+            ref_subset_boundary_bytes(&graph, &subset),
+        );
+        if got != want {
+            return Err(format!("boundary of {subset:?}: {got} != {want}"));
+        }
+        let (lo, hi) = (subset.iter().min(), subset.iter().max());
+        let span = hi.expect("non-empty").index() - lo.expect("non-empty").index() + 1;
+        seen.unsorted_subsets += usize::from(!subset.is_sorted());
+        seen.gapped_subsets += usize::from(span > subset.len());
+        let inputs = |n: NodeId| graph.node(n).inputs.as_slice();
+        seen.generated_reads += usize::from(subset.iter().any(|&n| {
+            inputs(n)
+                .iter()
+                .any(|&t| graph.tensor(t).kind == TensorKind::Generated)
+        }));
+        seen.repeated_reads += usize::from(
+            subset
+                .iter()
+                .any(|&n| inputs(n).len() == 2 && inputs(n)[0] == inputs(n)[1]),
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn per_node_facts_match_reference_models() {
+    check_cases(
+        "node flops, boundary bytes and names ≡ reference models",
+        CASES,
+        FACTS_SEED,
+        JOBS,
+        generate_facts,
+        shrink_facts,
+        || (),
+        |_, case| run_facts_case(case, &mut Seen::default()),
+    );
+}
+
+/// The per-node-facts generator reaches the corners it claims to cover.
+#[test]
+fn per_node_facts_cover_their_corners() {
+    let mut rng = CaseRng::new(FACTS_SEED);
+    let mut seen = Seen::default();
+    for _ in 0..CASES {
+        run_facts_case(&generate_facts(&mut rng), &mut seen).expect("differential holds");
+    }
+    assert!(seen.unsorted_subsets > 0, "an unsorted subset");
+    assert!(seen.gapped_subsets > 0, "a non-contiguous subset");
+    assert!(
+        seen.generated_reads > 0,
+        "a subset reading a generated operand"
+    );
+    assert!(
+        seen.repeated_reads > 0,
+        "a subset node reading one tensor twice"
+    );
+    assert!(
+        seen.name_collisions > 0,
+        "a requested name equal to an earlier derived name"
+    );
+}
+
+/// FNV-1a, 64-bit, over formatted text as it is written.
+struct Fnv {
+    hash: u64,
+    len: usize,
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.len += s.len();
+        Ok(())
+    }
+}
+
+/// Every default Table II benchmark compiled unfused and spatially fused
+/// (34 executables), pinned to the `Debug` bytes of their kernels (names,
+/// nodes, resources, `program_signature`), estimates and memory plans as
+/// the reference models above produced them. Any change to the compiler's
+/// model legitimately moves it; re-pin it after checking the change.
+#[test]
+fn table2_executables_are_byte_identical_to_the_reference_passes() {
+    let compiler = Compiler::new(SocketSpec::sn40l(), Calibration::baseline());
+    let mut digest = Fnv {
+        hash: 0xcbf2_9ce4_8422_2325,
+        len: 0,
+    };
+    for bench in table2() {
+        let graph = bench.build_graph();
+        for policy in [FusionPolicy::Unfused, FusionPolicy::Spatial] {
+            let exe = compiler.compile(&graph, policy).expect("Table II compiles");
+            write!(
+                digest,
+                "{:?}|{:?}|{:?}|{:?}|{:?}|",
+                exe.name(),
+                exe.policy(),
+                exe.kernels(),
+                exe.estimates(),
+                exe.memory()
+            )
+            .expect("hashing cannot fail");
+        }
+    }
+    assert_eq!(
+        (digest.len, digest.hash),
+        (13_737_212, 0x0f01_ec72_87d6_faae)
     );
 }
