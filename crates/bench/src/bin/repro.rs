@@ -3,10 +3,10 @@
 //! ```text
 //! repro [--jobs N] [table1|table2|fig1|fig10|fig11|fig12|fig13|table3|ablations|--faults|all]
 //! repro [--jobs N] [--time] serve
-//! repro [--jobs N] [--intra-jobs N] tenants
+//! repro [--jobs N] tenants
 //! repro [--jobs N] placement
 //! repro [--jobs N] [--obs out.json] obs
-//! repro [--intra-jobs N] intra
+//! repro intra
 //! repro --trace [out.json]
 //! repro --profile
 //! repro [--jobs N] --bench-json [out.json]
@@ -19,14 +19,9 @@
 //! sequential path. Output is byte-identical for every N. `--time` adds
 //! wall-clock lines (1 job vs N jobs) to the serve sweep.
 //!
-//! `--intra-jobs N` parallelizes *inside* each run: per-node work lanes
-//! within every serving wave fan across N worker threads with a
-//! conservative barrier at wave boundaries (`sn_coe::lanes`). The
-//! default 1 keeps the legacy sequential wave engine; any value yields
-//! byte-identical output (the `intra_diff` differential harness enforces
-//! this). `intra` times one large cluster point (16 nodes, 480 experts,
-//! 4096-slot waves) at several intra-job counts and prints the
-//! speedup table with a digest-checked zero-drift guarantee.
+//! `intra` times one large cluster point (16 nodes, 480 experts,
+//! 4096-slot waves) on the sequential wave loop and prints its
+//! wall-clock and output digest.
 //!
 //! `--trace` replays the Figure 12 SN40L serving point (150 experts,
 //! BS=8) with structured tracing enabled, writes a Chrome-trace JSON
@@ -328,7 +323,7 @@ fn run_faults(jobs: usize) {
     println!(" prompts re-home their experts onto survivors over DDR)");
 }
 
-fn run_tenants(jobs: usize, intra_jobs: usize) {
+fn run_tenants(jobs: usize) {
     use sn_bench::tenants;
     hr(&format!(
         "MULTI-TENANT CHAOS: load sweep, {} nodes, kill {:?} during {}..{}",
@@ -351,7 +346,7 @@ fn run_tenants(jobs: usize, intra_jobs: usize) {
         "Scale",
         "Nodes"
     );
-    let points = tenants::tenants_sweep_intra(jobs, intra_jobs);
+    let points = tenants::tenants_sweep_jobs(jobs);
     for p in &points {
         println!(
             "{:<6} {:>9} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9.1} {:>9.1} {:>6} {:>6}",
@@ -503,45 +498,31 @@ fn run_obs(jobs: usize, export: Option<&str>) {
     }
 }
 
-fn run_intra(intra_jobs: usize) {
+fn run_intra() {
     use sn_bench::intra;
     hr(&format!(
-        "INTRA-RUN PARALLELISM: {} nodes, {} experts, {} waves x {} slots, \
-         per-node lanes inside each wave",
+        "LARGE-CLUSTER WAVES: {} nodes, {} experts, {} waves x {} slots, \
+         sequential wave loop",
         intra::INTRA_NODES,
         intra::INTRA_EXPERTS,
         intra::INTRA_WAVES,
         intra::INTRA_WAVE_SLOTS,
     ));
-    let mut counts = vec![1usize, 2, 4];
-    if !counts.contains(&intra_jobs) {
-        counts.push(intra_jobs);
-    }
+    // intra_point panics if its repetitions disagree, so the printed
+    // digest is the one every repetition produced.
+    let p = intra::intra_point();
+    println!("{:>12} {:>18}", "Wall (ms)", "Digest");
     println!(
-        "{:<12} {:>12} {:>10} {:>18}",
-        "Intra-jobs", "Wall (ms)", "Speedup", "Digest"
+        "{:>12.2} {:>18}",
+        p.wall_ms,
+        format!("{:016x}", p.digest.checksum)
     );
-    // intra_sweep panics if any job count's digest drifts from the
-    // sequential reference, so a printed speedup is always drift-free.
-    let points = intra::intra_sweep(&counts);
-    let base_ms = points
-        .iter()
-        .find(|p| p.intra_jobs == 1)
-        .expect("sequential reference point")
-        .wall_ms;
-    for p in &points {
-        println!(
-            "{:<12} {:>12.2} {:>9.2}x {:>18}",
-            p.intra_jobs,
-            p.wall_ms,
-            base_ms / p.wall_ms.max(1e-9),
-            format!("{:016x}", p.digest.checksum),
-        );
-    }
     println!(
-        "\nevery row served {} slots ({} hits / {} misses) with identical digests: the\n\
-         speedup is pure wave-internal parallelism plus route-table memoization, not drift",
-        points[0].digest.served, points[0].digest.expert_hits, points[0].digest.expert_misses,
+        "\nserved {} slots ({} hits / {} misses), best of {} repetitions",
+        p.digest.served,
+        p.digest.expert_hits,
+        p.digest.expert_misses,
+        intra::TIMING_REPS,
     );
 }
 
@@ -756,33 +737,11 @@ fn run_bench_json(path: &str, jobs: usize) {
         "serve_sweep_speedup",
         &format!("{:.2}", seq_ms / par_ms.max(1e-9)),
     );
-    // Intra-run lane-engine timing on the large cluster point.
-    // `intra_sweep` asserts digest equality across job counts before
-    // returning, so these rows can never record a speedup bought with
-    // metric drift; the wall-clock itself stays in info rows (recorded,
-    // never compared) like every other timing figure.
-    let intra_points = sn_bench::intra::intra_sweep(&[1, 2, 4]);
-    let intra_seq_ms = intra_points
-        .iter()
-        .find(|p| p.intra_jobs == 1)
-        .expect("sequential intra point")
-        .wall_ms;
-    for p in &intra_points {
-        snap.push_info(
-            &format!("intra_wall_ms_{}jobs", p.intra_jobs),
-            &format!("{:.2}", p.wall_ms),
-        );
-        if p.intra_jobs > 1 {
-            snap.push_info(
-                &format!("intra_speedup_{}jobs", p.intra_jobs),
-                &format!("{:.2}", intra_seq_ms / p.wall_ms.max(1e-9)),
-            );
-        }
-    }
-    snap.push_info(
-        "intra_digest",
-        &format!("{:016x}", intra_points[0].digest.checksum),
-    );
+    // Large-cluster wave timing: wall-clock stays in info rows
+    // (recorded, never compared) like every other timing figure.
+    let intra = sn_bench::intra::intra_point();
+    snap.push_info("intra_wall_ms", &format!("{:.2}", intra.wall_ms));
+    snap.push_info("intra_digest", &format!("{:016x}", intra.digest.checksum));
     // Surrogate scale claim: predicting the whole grid must cost less
     // wall-clock than one exact tenants sweep. The predictions reuse
     // the calibration the snapshot's suite already fitted; both walls
@@ -858,7 +817,7 @@ fn run_bench_check(baseline_path: &str, current_path: Option<&str>, jobs: usize)
 fn usage_exit(complaint: &str) -> ! {
     eprintln!("{complaint}");
     eprintln!(
-        "usage: repro [--jobs N] [--intra-jobs N] [--time] [--obs out.json] [table1|table2|\
+        "usage: repro [--jobs N] [--time] [--obs out.json] [table1|table2|\
          fig1|fig10|fig11|fig12|fig13|table3|ablations|extensions|serve|tenants|placement|\
          obs|intra|surrogate|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
          --bench-check <baseline> [current]|all]"
@@ -868,7 +827,6 @@ fn usage_exit(complaint: &str) -> ! {
 
 fn main() {
     let mut jobs = sn_bench::par::available_jobs();
-    let mut intra_jobs = 1usize;
     let mut timed = false;
     let mut obs_export: Option<String> = None;
     let mut args: Vec<String> = Vec::new();
@@ -879,22 +837,12 @@ fn main() {
         } else {
             a.strip_prefix("--jobs=").map(str::to_string)
         };
-        let intra_value = if a == "--intra-jobs" {
-            Some(raw.next().unwrap_or_default())
-        } else {
-            a.strip_prefix("--intra-jobs=").map(str::to_string)
-        };
         let obs_value = if a == "--obs" {
             Some(raw.next().unwrap_or_default())
         } else {
             a.strip_prefix("--obs=").map(str::to_string)
         };
-        if let Some(v) = intra_value {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => intra_jobs = n,
-                _ => usage_exit(&format!("--intra-jobs wants a positive integer, got '{v}'")),
-            }
-        } else if let Some(v) = jobs_value {
+        if let Some(v) = jobs_value {
             match v.parse::<usize>() {
                 Ok(n) if n >= 1 => jobs = n,
                 _ => usage_exit(&format!("--jobs wants a positive integer, got '{v}'")),
@@ -949,10 +897,10 @@ fn main() {
         "extensions" => extensions(),
         "faults" | "--faults" => run_faults(jobs),
         "serve" | "--serve" => run_serve(jobs, timed),
-        "tenants" | "--tenants" => run_tenants(jobs, intra_jobs),
+        "tenants" | "--tenants" => run_tenants(jobs),
         "placement" | "--placement" => run_placement(jobs),
         "obs" => run_obs(jobs, obs_export.as_deref()),
-        "intra" | "--intra" => run_intra(intra_jobs),
+        "intra" | "--intra" => run_intra(),
         "surrogate" | "--surrogate" => run_surrogate(jobs, timed),
         "all" => {
             table1();
@@ -966,7 +914,7 @@ fn main() {
             extensions();
             run_faults(jobs);
             run_serve(jobs, timed);
-            run_tenants(jobs, intra_jobs);
+            run_tenants(jobs);
             run_placement(jobs);
             run_obs(jobs, obs_export.as_deref());
             run_surrogate(jobs, timed);

@@ -1,17 +1,16 @@
-//! Intra-run parallelism benchmark (`repro intra`): one large cluster
-//! point, timed at several `--intra-jobs` values.
+//! Large-cluster wave benchmark (`repro intra`): one big cluster point,
+//! timed on the sequential wave loop.
 //!
-//! PR 5's `--jobs` fans independent *sweep points* across threads; this
+//! `repro --jobs` fans independent *sweep points* across threads; this
 //! scenario is the opposite regime — a single big run (16 nodes, 480
 //! experts, 4096-slot waves) where all the time is inside `serve_wave`
-//! and inter-run parallelism has nothing to grab. The intra-run lane
-//! engine attacks exactly this shape: the route pass memoizes into a
-//! table lookup, and the per-node cursor walks fan across worker
-//! threads with a conservative barrier at each wave boundary.
+//! and inter-run parallelism has nothing to grab. The route pass reads
+//! the router's memoized hashes, and the per-node cursor walk is one
+//! add per slot, so the loop runs sequentially.
 //!
 //! Every run folds its complete output — placements, per-node busy
 //! times, hit/miss counters — into an [`IntraDigest`] whose checksum
-//! covers the raw f64 bits, so "zero metric drift" between job counts
+//! covers the raw f64 bits, so "zero metric drift" between two builds
 //! is a single `PartialEq` away and any divergence is loud.
 
 use sn_arch::{NodeSpec, TimeSecs};
@@ -43,8 +42,7 @@ pub const INTRA_WAVE_TOKENS: usize = 8;
 ///
 /// The checksum folds the f64 bit patterns of every placement offset
 /// and per-node busy time, so two digests compare equal iff the runs
-/// were byte-identical — the zero-drift half of the PR 9 acceptance
-/// bar rides on `assert_eq!` between digests at different job counts.
+/// were byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntraDigest {
     /// Waves served.
@@ -65,9 +63,7 @@ pub struct IntraDigest {
 /// One timed scenario run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntraPoint {
-    /// The job count the run executed at.
-    pub intra_jobs: usize,
-    /// The run's digest (identical across job counts).
+    /// The run's digest (identical across repetitions).
     pub digest: IntraDigest,
     /// Wall-clock of the serving loop alone (cluster build and prompt
     /// generation excluded), best of [`TIMING_REPS`] repetitions.
@@ -108,7 +104,7 @@ pub fn intra_waves() -> Vec<Vec<WaveSlot>> {
         .collect()
 }
 
-fn build_cluster(intra_jobs: usize) -> CoeCluster {
+fn build_cluster() -> CoeCluster {
     CoeCluster::new(
         NodeSpec::sn40l_node(),
         INTRA_NODES,
@@ -116,7 +112,6 @@ fn build_cluster(intra_jobs: usize) -> CoeCluster {
         INTRA_PROMPT_TOKENS,
     )
     .expect("intra scenario library fits the cluster")
-    .with_intra_jobs(intra_jobs)
 }
 
 fn serve_all(cluster: &mut CoeCluster, waves: &[Vec<WaveSlot>]) -> Vec<sn_coe::WaveOutcome> {
@@ -166,14 +161,12 @@ fn digest_outcomes(outcomes: &[sn_coe::WaveOutcome]) -> IntraDigest {
     digest
 }
 
-/// One scenario execution at `intra_jobs`: a warmup pass over the wave
-/// list brings expert residency, the route table, and the lane pool to
-/// steady state, then the timed pass serves the same waves again. The
-/// digest covers the timed pass — both passes run the identical engine,
-/// so the digest is job-count-invariant either way, and the wall-clock
-/// measures serving, not cold-start graph compilation or thread spawns.
-fn run_scenario(intra_jobs: usize, waves: &[Vec<WaveSlot>]) -> (IntraDigest, f64) {
-    let mut cluster = build_cluster(intra_jobs);
+/// One scenario execution: a warmup pass over the wave list brings
+/// expert residency to steady state, then the timed pass serves the same
+/// waves again. The digest covers the timed pass, and the wall-clock
+/// measures serving, not cold-start graph compilation.
+fn run_scenario(waves: &[Vec<WaveSlot>]) -> (IntraDigest, f64) {
+    let mut cluster = build_cluster();
     let warmup = serve_all(&mut cluster, waves);
     drop(warmup);
     let start = Instant::now();
@@ -182,31 +175,31 @@ fn run_scenario(intra_jobs: usize, waves: &[Vec<WaveSlot>]) -> (IntraDigest, f64
     (digest_outcomes(&outcomes), ms)
 }
 
-/// Runs the scenario once at `intra_jobs` and digests the timed pass.
+/// Runs the scenario once and digests the timed pass.
 ///
 /// # Panics
 ///
 /// Panics if the library cannot be placed on the cluster (a
 /// configuration bug, not a runtime condition).
-pub fn intra_digest(intra_jobs: usize) -> IntraDigest {
-    run_scenario(intra_jobs, &intra_waves()).0
+pub fn intra_digest() -> IntraDigest {
+    run_scenario(&intra_waves()).0
 }
 
-/// Times the scenario at `intra_jobs`: best steady-state wall-clock of
-/// [`TIMING_REPS`] runs, each on a fresh cluster so expert-residency
-/// state never carries across repetitions. The digest is checked
-/// identical across repetitions before returning.
+/// Times the scenario: best steady-state wall-clock of [`TIMING_REPS`]
+/// runs, each on a fresh cluster so expert-residency state never
+/// carries across repetitions. The digest is checked identical across
+/// repetitions before returning.
 ///
 /// # Panics
 ///
 /// Panics if repetitions disagree — a determinism bug this harness
 /// exists to catch.
-pub fn intra_point(intra_jobs: usize) -> IntraPoint {
+pub fn intra_point() -> IntraPoint {
     let waves = intra_waves();
     let mut best_ms = f64::INFINITY;
     let mut digest = None;
     for _ in 0..TIMING_REPS {
-        let (d, ms) = run_scenario(intra_jobs, &waves);
+        let (d, ms) = run_scenario(&waves);
         best_ms = best_ms.min(ms);
         match digest {
             None => digest = Some(d),
@@ -214,31 +207,9 @@ pub fn intra_point(intra_jobs: usize) -> IntraPoint {
         }
     }
     IntraPoint {
-        intra_jobs,
         digest: digest.expect("at least one rep"),
         wall_ms: best_ms,
     }
-}
-
-/// The `repro intra` sweep: the scenario timed at each job count, with
-/// every digest checked identical to the sequential reference before
-/// returning — the table never prints a speedup bought with drift.
-///
-/// # Panics
-///
-/// Panics if any job count's digest diverges from `intra_jobs = 1`.
-pub fn intra_sweep(job_counts: &[usize]) -> Vec<IntraPoint> {
-    let points: Vec<IntraPoint> = job_counts.iter().map(|&j| intra_point(j)).collect();
-    if let Some(reference) = points.iter().find(|p| p.intra_jobs <= 1) {
-        for p in &points {
-            assert_eq!(
-                p.digest, reference.digest,
-                "intra-jobs {} drifted from the sequential reference",
-                p.intra_jobs
-            );
-        }
-    }
-    points
 }
 
 #[cfg(test)]
@@ -246,37 +217,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn digest_is_deterministic() {
-        assert_eq!(intra_digest(1), intra_digest(1));
-    }
-
-    #[test]
-    fn digests_are_identical_across_job_counts() {
-        let reference = intra_digest(1);
-        for jobs in [2, 4] {
-            assert_eq!(
-                intra_digest(jobs),
-                reference,
-                "intra-jobs {jobs} drifted from the sequential engine"
-            );
-        }
-        // The scenario actually exercises the engine: every slot serves
-        // and the warm path fires. The timed pass runs after the warmup
-        // brought every routed expert resident, so it sees no cold
-        // activations by design.
-        assert_eq!(reference.waves, INTRA_WAVES);
-        assert_eq!(reference.served, INTRA_WAVES * INTRA_WAVE_SLOTS);
-        assert_eq!(reference.dropped, 0);
-        assert_eq!(reference.expert_misses, 0, "timed pass runs warmed");
-        assert!(reference.expert_hits > 0, "warm activations exercised");
-    }
-
-    #[test]
     fn cold_pass_exercises_the_miss_path() {
         // A fresh cluster's first pass over the wave list must fault
         // experts in: the warmup exists precisely because this cold
         // pass is not representative of steady-state serving.
-        let mut cluster = build_cluster(1);
+        let mut cluster = build_cluster();
         let cold = digest_outcomes(&serve_all(&mut cluster, &intra_waves()));
         assert!(cold.expert_misses > 0, "cold activations exercised");
         assert!(cold.expert_hits > 0, "warm activations exercised");

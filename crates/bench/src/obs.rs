@@ -13,11 +13,10 @@
 //! byte-identical for every `--jobs` value.
 
 use crate::tenants::{
-    sweep_chaos, sweep_config, sweep_controller, sweep_tenants, SWEEP_EXPERTS, SWEEP_LOADS,
-    SWEEP_NODES, SWEEP_PROMPT_TOKENS, SWEEP_SEED,
+    sweep_chaos, sweep_cluster, sweep_config, sweep_controller, sweep_tenants, SWEEP_LOADS,
+    SWEEP_SEED,
 };
-use sn_arch::NodeSpec;
-use sn_coe::{CoeCluster, ExpertLibrary, TenancyReport};
+use sn_coe::TenancyReport;
 use sn_obs::{
     sparkline, AlertCondition, AlertKind, AlertRule, LabelSet, Obs, ObsConfig, ObsReport,
     RecorderConfig, SeriesKey,
@@ -103,13 +102,7 @@ pub fn obs_config(load: f64) -> ObsConfig {
 }
 
 fn run_scenario(seed: u64, load: f64, obs: &Obs) -> TenancyReport {
-    let mut cluster = CoeCluster::new(
-        NodeSpec::sn40l_node(),
-        SWEEP_NODES,
-        ExpertLibrary::new(SWEEP_EXPERTS),
-        SWEEP_PROMPT_TOKENS,
-    )
-    .expect("sweep library fits the starting cluster");
+    let mut cluster = sweep_cluster();
     let mut config = sweep_config();
     config.seed = seed;
     let chaos = sweep_chaos(seed);

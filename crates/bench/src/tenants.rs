@@ -199,15 +199,14 @@ pub fn sweep_controller() -> AutoscaleController {
     )
 }
 
-/// The sweep's starting cluster at an explicit intra-run job count —
-/// shared by the report helpers here and the `intra_diff` differential
-/// harness, so both always race the same shape.
+/// The sweep's starting cluster — shared by the report helpers here
+/// and the wave-engine regression pins, so both serve the same shape.
 ///
 /// # Panics
 ///
 /// Panics if the expert library cannot be placed on the starting
 /// cluster (a configuration bug, not a runtime condition).
-pub fn sweep_cluster_intra(intra_jobs: usize) -> CoeCluster {
+pub fn sweep_cluster() -> CoeCluster {
     CoeCluster::new(
         NodeSpec::sn40l_node(),
         SWEEP_NODES,
@@ -215,7 +214,6 @@ pub fn sweep_cluster_intra(intra_jobs: usize) -> CoeCluster {
         SWEEP_PROMPT_TOKENS,
     )
     .expect("sweep library fits the starting cluster")
-    .with_intra_jobs(intra_jobs)
 }
 
 /// Runs the full scenario report for one `(seed, load)` point.
@@ -225,21 +223,7 @@ pub fn sweep_cluster_intra(intra_jobs: usize) -> CoeCluster {
 /// Panics if the expert library cannot be placed on the starting
 /// cluster (a configuration bug, not a runtime condition).
 pub fn tenants_report_seeded(seed: u64, load: f64) -> TenancyReport {
-    tenants_report_seeded_intra(seed, load, 1)
-}
-
-/// [`tenants_report_seeded`] with the intra-run parallelism knob:
-/// `intra_jobs <= 1` runs the sequential reference wave engine,
-/// `intra_jobs > 1` fans per-node lanes across that many threads inside
-/// each wave. Byte-identical reports for every value — that is the
-/// `intra_diff` contract.
-///
-/// # Panics
-///
-/// Panics if the expert library cannot be placed on the starting
-/// cluster (a configuration bug, not a runtime condition).
-pub fn tenants_report_seeded_intra(seed: u64, load: f64, intra_jobs: usize) -> TenancyReport {
-    let mut cluster = sweep_cluster_intra(intra_jobs);
+    let mut cluster = sweep_cluster();
     let mut config = sweep_config();
     config.seed = seed;
     let chaos = sweep_chaos(seed);
@@ -263,12 +247,7 @@ pub fn tenants_point(load: f64) -> TenantSweepPoint {
 /// sweep several seeds to show the parallel/sequential bit-identity is
 /// not an artifact of one lucky arrival pattern.
 pub fn tenants_point_seeded(seed: u64, load: f64) -> TenantSweepPoint {
-    tenants_point_seeded_intra(seed, load, 1)
-}
-
-/// [`tenants_point_seeded`] at an explicit intra-run job count.
-pub fn tenants_point_seeded_intra(seed: u64, load: f64, intra_jobs: usize) -> TenantSweepPoint {
-    let report = tenants_report_seeded_intra(seed, load, intra_jobs);
+    let report = tenants_report_seeded(seed, load);
     let scale_ups = report
         .scale_events
         .iter()
@@ -312,16 +291,6 @@ pub fn tenants_sweep_jobs(jobs: usize) -> Vec<TenantSweepPoint> {
 pub fn tenants_sweep_seeded_jobs(seed: u64, jobs: usize) -> Vec<TenantSweepPoint> {
     crate::par::ordered_map(jobs, SWEEP_LOADS, |_, &load| {
         tenants_point_seeded(seed, load)
-    })
-}
-
-/// [`tenants_sweep_jobs`] at an explicit intra-run job count: `jobs`
-/// fans whole sweep points across threads (inter-run), `intra_jobs` fans
-/// per-node lanes inside every wave of every point (intra-run). The two
-/// axes compose, and neither moves a single output byte.
-pub fn tenants_sweep_intra(jobs: usize, intra_jobs: usize) -> Vec<TenantSweepPoint> {
-    crate::par::ordered_map(jobs, SWEEP_LOADS, |_, &load| {
-        tenants_point_seeded_intra(SWEEP_SEED, load, intra_jobs)
     })
 }
 

@@ -7,7 +7,6 @@
 //! their shares concurrently — batch latency is the busiest node's time.
 
 use crate::expert::ExpertLibrary;
-use crate::lanes::{ParMode, RouteTable};
 use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
 use serde::{Deserialize, Serialize};
@@ -199,16 +198,6 @@ pub struct CoeCluster {
     retry: RetryPolicy,
     tracer: Tracer,
     slo: Option<SloTracker>,
-    /// Intra-run execution mode (PR 9): [`ParMode::Sequential`] keeps
-    /// the legacy single-threaded wave loop; [`ParMode::Threads`] runs
-    /// per-node lanes on a persistent worker pool, byte-identically.
-    par: ParMode,
-    /// Memoized routing decisions, built lazily on the first laned wave
-    /// (`None` in sequential mode, where the live router runs instead).
-    route_table: Option<RouteTable>,
-    /// Persistent blocked worker threads for the lane engine; spawned
-    /// lazily so sequential clusters never start a thread.
-    lanes: Option<crossbeam::pool::Pool>,
 }
 
 impl CoeCluster {
@@ -219,6 +208,7 @@ impl CoeCluster {
     ///
     /// # Errors
     ///
+    /// [`CoeError::EmptyLibrary`] when the library has no experts;
     /// [`CoeError::Compile`] when building or compiling the expert graphs
     /// fails (e.g. `prompt_tokens == 0`); otherwise the underlying
     /// [`CoeError`] when a node's DDR cannot hold its shard (the cluster
@@ -234,6 +224,9 @@ impl CoeCluster {
         prompt_tokens: usize,
     ) -> Result<Self, CoeError> {
         assert!(nodes >= 1, "a cluster needs at least one node");
+        if library.is_empty() {
+            return Err(CoeError::EmptyLibrary);
+        }
         let calib = Calibration::baseline();
         let programs = ExpertPrograms::shared(
             &node.socket,
@@ -273,30 +266,7 @@ impl CoeCluster {
             retry: RetryPolicy::standard(),
             tracer: Tracer::disabled(),
             slo: None,
-            par: ParMode::Sequential,
-            route_table: None,
-            lanes: None,
         })
-    }
-
-    /// Selects the intra-run execution mode: `jobs <= 1` keeps the
-    /// legacy sequential wave loop (the differential reference path);
-    /// `jobs > 1` fans per-node wave lanes across that many persistent
-    /// worker threads with a conservative barrier at wave boundaries.
-    /// Every report, trace counter, and export is byte-identical for
-    /// any value — enforced by `crates/bench/tests/intra_diff.rs`.
-    #[must_use]
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        self.par = ParMode::from_jobs(jobs);
-        // Lazily rebuilt for the new mode on the next wave.
-        self.route_table = None;
-        self.lanes = None;
-        self
-    }
-
-    /// The configured intra-run worker count (1 in sequential mode).
-    pub fn intra_jobs(&self) -> usize {
-        self.par.jobs()
     }
 
     /// Attaches a fault plan and retry budget: every node's runtime then
@@ -369,34 +339,6 @@ impl CoeCluster {
     /// route does not change any serving outcome).
     pub fn routed_expert(&self, prompt: &Prompt) -> usize {
         self.router.route(prompt, self.library.len())
-    }
-
-    /// [`CoeCluster::routed_expert`] through the memoized route table
-    /// when the lane engine has built one (bit-identical by
-    /// construction: every table entry came from the live router). In
-    /// sequential mode the table is never built and this *is* the live
-    /// route call.
-    pub(crate) fn routed_expert_cached(&self, prompt: &Prompt) -> usize {
-        match &self.route_table {
-            Some(table) => table.route(prompt),
-            None => self.routed_expert(prompt),
-        }
-    }
-
-    /// Builds the route table and worker pool the lane engine needs, if
-    /// missing or stale (after [`CoeCluster::with_intra_jobs`] changed
-    /// the mode). Lazy so sequential clusters pay nothing.
-    fn ensure_lane_engine(&mut self, jobs: usize) {
-        if self
-            .route_table
-            .as_ref()
-            .is_none_or(|t| t.n_experts() != self.library.len())
-        {
-            self.route_table = Some(RouteTable::build(&self.router, self.library.len()));
-        }
-        if self.lanes.as_ref().is_none_or(|p| p.workers() != jobs) {
-            self.lanes = Some(crossbeam::pool::Pool::new(jobs));
-        }
     }
 
     /// Number of experts in the deployed library.
@@ -587,9 +529,6 @@ impl CoeCluster {
         // Each expert serves on one node per batch: its home, or (with
         // placement replicas) the least-loaded healthy holder, pinned at
         // first activation so later prompts reuse the warmed node.
-        // Indexed by expert — a dense memo has no iteration order for
-        // lane-partitioned execution to observe differently (the old
-        // HashMap was lookup-only, but the audit converts it anyway).
         let mut chosen: Vec<Option<usize>> = vec![None; n_experts];
         for p in prompts {
             let e = self.router.route(p, n_experts);
@@ -1103,8 +1042,6 @@ impl CoeCluster {
         wave_tokens: usize,
     ) -> Result<WaveOutcome, CoeError> {
         assert!(!slots.is_empty(), "empty wave");
-        // Per-wave crash draws happen before the mode split so both
-        // engines consume the fault plan's RNG stream identically.
         if let Some(plan) = self.faults.clone() {
             for i in 0..self.runtimes.len() {
                 if !self.failed[i]
@@ -1117,19 +1054,6 @@ impl CoeCluster {
         if self.failed.iter().all(|&down| down) {
             return Err(CoeError::NoHealthyNodes);
         }
-        match self.par {
-            ParMode::Sequential => self.serve_wave_seq(slots, wave_tokens),
-            ParMode::Threads(jobs) => self.serve_wave_lanes(slots, wave_tokens, jobs),
-        }
-    }
-
-    /// The legacy sequential wave engine — the differential reference
-    /// path for [`CoeCluster::serve_wave_lanes`].
-    fn serve_wave_seq(
-        &mut self,
-        slots: &[WaveSlot],
-        wave_tokens: usize,
-    ) -> Result<WaveOutcome, CoeError> {
         let nodes = self.runtimes.len();
         let n_experts = self.library.len();
         let rehome_time = self.rehome_time();
@@ -1141,8 +1065,7 @@ impl CoeCluster {
         let mut hits = 0;
         let mut rehomed = 0;
         // Dense per-expert memo (`Some(None)` = every slot on this
-        // expert drops): indexed, never iterated, so lane-partitioned
-        // execution cannot observe a different order than this loop.
+        // expert drops).
         let mut placed: Vec<Option<Option<usize>>> = vec![None; n_experts];
         let mut slot_nodes: Vec<Option<usize>> = Vec::with_capacity(slots.len());
         for slot in slots {
@@ -1209,196 +1132,6 @@ impl CoeCluster {
             }
         }
         let per_node = cursor;
-        let latency = per_node.iter().copied().fold(TimeSecs::ZERO, TimeSecs::max);
-        if self.tracer.is_enabled() {
-            self.tracer.count(Counter::ExpertsRehomed, rehomed as u64);
-            self.tracer.count(Counter::PromptsDropped, dropped as u64);
-        }
-        self.trace_cluster_batch("wave", slots.len(), &per_node, &per_node_prompts, latency);
-        Ok(WaveOutcome {
-            latency,
-            per_node,
-            prompts_per_node: per_node_prompts,
-            placements,
-            expert_misses: misses,
-            expert_hits: hits,
-            switch_time: per_node_switch.iter().copied().sum(),
-            rehomed_experts: rehomed,
-            failover_penalty: per_node_penalty.iter().copied().sum(),
-            recovery: per_node_recovery.iter().copied().sum(),
-            failed_nodes: self.failed_nodes(),
-        })
-    }
-
-    /// The per-node lane engine ([`ParMode::Threads`]): byte-identical
-    /// to [`CoeCluster::serve_wave_seq`] at any worker count.
-    ///
-    /// Phase structure, and why bit-identity holds:
-    ///
-    /// 1. **Route pass** — through the [`RouteTable`] memo, whose
-    ///    entries were produced by the live router (pure, so the values
-    ///    are the sequential loop's values).
-    /// 2. **Placement walk** — sequential, on the coordinator, in slot
-    ///    order: expert activation mutates per-node HBM LRU state and
-    ///    draws from the fault plan's RNG stream, so its order *is* the
-    ///    contract. Identical calls in identical order to the reference
-    ///    path.
-    /// 3. **Unit timings** — the four traced executor runs, on the
-    ///    coordinator, exactly where the reference path runs them.
-    /// 4. **Lanes** — nodes partition across workers by `node % jobs`;
-    ///    each lane walks the slot list in order, handling only its
-    ///    nodes' slots, and writes each result straight into the shared
-    ///    placements vector (disjoint indices — a slot belongs to
-    ///    exactly one node, a node to exactly one lane). Pure float
-    ///    arithmetic: each node's operation chain is exactly the
-    ///    subsequence the sequential loop executes for that node.
-    /// 5. **Barrier + merge** — the pool joins every lane before any
-    ///    result is read; only the 16-odd per-node cursors need an
-    ///    explicit merge, then tracing/aggregation run exactly as in
-    ///    the reference path.
-    fn serve_wave_lanes(
-        &mut self,
-        slots: &[WaveSlot],
-        wave_tokens: usize,
-        jobs: usize,
-    ) -> Result<WaveOutcome, CoeError> {
-        /// `slot_nodes` sentinel for a dropped slot (no node fits its
-        /// expert under load faults).
-        const DROPPED_SLOT: u32 = u32::MAX;
-        let nodes = self.runtimes.len();
-        let n_experts = self.library.len();
-        let rehome_time = self.rehome_time();
-        self.ensure_lane_engine(jobs);
-        // The table is ~1.3 KiB; cloning it per wave costs nothing and
-        // frees `self` for the `place_expert` calls inside the walk.
-        let table = self.route_table.clone().expect("ensure_lane_engine");
-        let mut per_node_prompts = vec![0usize; nodes];
-        let mut per_node_switch = vec![TimeSecs::ZERO; nodes];
-        let mut per_node_recovery = vec![TimeSecs::ZERO; nodes];
-        let mut per_node_penalty = vec![TimeSecs::ZERO; nodes];
-        let mut misses = 0;
-        let mut hits = 0;
-        let mut rehomed = 0;
-        let mut placed: Vec<Option<Option<usize>>> = vec![None; n_experts];
-        let mut slot_nodes: Vec<u32> = Vec::with_capacity(slots.len());
-        let mut dropped = 0usize;
-        for slot in slots {
-            let e = table.route(&slot.prompt);
-            let target = match placed[e] {
-                Some(t) => t,
-                None => {
-                    let t = self.place_expert(
-                        e,
-                        &per_node_prompts,
-                        rehome_time,
-                        &mut per_node_switch,
-                        &mut per_node_recovery,
-                        &mut per_node_penalty,
-                        &mut misses,
-                        &mut hits,
-                        &mut rehomed,
-                    )?;
-                    placed[e] = Some(t);
-                    t
-                }
-            };
-            match target {
-                Some(node) => {
-                    per_node_prompts[node] += 1;
-                    slot_nodes.push(node as u32);
-                }
-                None => {
-                    dropped += 1;
-                    slot_nodes.push(DROPPED_SLOT);
-                }
-            }
-        }
-        let router = self.router_time();
-        let (prefill_unit, decode_unit) = self.unit_run_times(wave_tokens);
-        let cursor_base: Vec<TimeSecs> = (0..nodes)
-            .map(|i| {
-                if per_node_prompts[i] == 0 {
-                    TimeSecs::ZERO
-                } else {
-                    router + per_node_switch[i] + per_node_recovery[i] + per_node_penalty[i]
-                }
-            })
-            .collect();
-        // Bucket served slots by node (counting sort, stable in slot
-        // order) so each lane walks only its own nodes' slots instead
-        // of scanning the whole wave — the lane fan-out does no
-        // duplicated work at any job count.
-        let mut offsets = vec![0usize; nodes + 1];
-        for i in 0..nodes {
-            offsets[i + 1] = offsets[i] + per_node_prompts[i];
-        }
-        let mut fill = offsets[..nodes].to_vec();
-        let mut by_node = vec![0u32; offsets[nodes]];
-        for (i, &target) in slot_nodes.iter().enumerate() {
-            if target != DROPPED_SLOT {
-                let node = target as usize;
-                by_node[fill[node]] = i as u32;
-                fill[node] += 1;
-            }
-        }
-        let mut placements = vec![WavePlacement::Dropped; slots.len()];
-        let mut lane_cursors: Vec<Vec<(u32, TimeSecs)>> = (0..jobs).map(|_| Vec::new()).collect();
-        {
-            let pool = self.lanes.as_mut().expect("ensure_lane_engine");
-            let writer = crate::lanes::SharedWrites::new(&mut placements);
-            let writer = &writer;
-            let offsets = &offsets;
-            let by_node = &by_node;
-            let cursor_base = &cursor_base;
-            pool.scoped(
-                lane_cursors
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, out)| {
-                        move || {
-                            for node in (w..nodes).step_by(jobs) {
-                                let mut cursor = cursor_base[node];
-                                for &idx in &by_node[offsets[node]..offsets[node + 1]] {
-                                    let i = idx as usize;
-                                    let (first_token, done) = if slots[i].prefill {
-                                        (cursor + prefill_unit, cursor + prefill_unit + decode_unit)
-                                    } else {
-                                        (cursor, cursor + decode_unit)
-                                    };
-                                    cursor = done;
-                                    // SAFETY: slot i belongs to exactly
-                                    // one node bucket, and each node to
-                                    // exactly one lane stripe, so no
-                                    // other thread touches index i, and
-                                    // nothing reads placements until the
-                                    // pool's completion barrier.
-                                    unsafe {
-                                        writer.write(
-                                            i,
-                                            WavePlacement::Served {
-                                                node,
-                                                first_token,
-                                                done,
-                                            },
-                                        );
-                                    }
-                                }
-                                out.push((node as u32, cursor));
-                            }
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        // Merge at the wave barrier: placements were written in place
-        // at disjoint indices, so only the per-node cursors (one owner
-        // lane each) need folding back.
-        let mut per_node = cursor_base;
-        for out in &lane_cursors {
-            for &(node, cursor) in out {
-                per_node[node as usize] = cursor;
-            }
-        }
         let latency = per_node.iter().copied().fold(TimeSecs::ZERO, TimeSecs::max);
         if self.tracer.is_enabled() {
             self.tracer.count(Counter::ExpertsRehomed, rehomed as u64);

@@ -4,7 +4,8 @@
 //!   summing to over a trillion parameters;
 //! - [`router`]: deterministic prompt generation and routing (the router
 //!   is itself a Llama2-7B-class model; its *quality* is irrelevant to the
-//!   systems evaluation, so routing is a seeded hash over prompt domains);
+//!   systems evaluation, so routing is a seeded hash over prompt domains,
+//!   computed once per router for each of its 160 keys);
 //! - [`serving`]: the end-to-end pipeline on the SN40L node — run the
 //!   router, switch the expert DDR→HBM, run the expert (Figure 9);
 //! - [`scheduler`]: online serving — seeded arrival processes, an
@@ -37,13 +38,14 @@
 //! assert!(lib.total_params() > 1_000_000_000_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod cluster;
 pub mod comparison;
 pub mod expert;
 pub mod generation;
 pub mod kv;
-pub mod lanes;
 pub mod placement;
 pub mod programs;
 pub mod router;
@@ -61,7 +63,6 @@ pub use comparison::{request_latency, LatencyBreakdown, Platform};
 pub use expert::{ExpertInfo, ExpertLibrary};
 pub use generation::GenerationModel;
 pub use kv::{KvStats, KvTouch, PagedKvCache, PagedKvConfig};
-pub use lanes::{ParMode, RouteTable};
 pub use placement::{
     ExpertStats, PlacementPlan, PlacementPolicy, PlacementView, PolicyConfig, PolicyReport,
     PrefetchPolicy, ServingPolicies,

@@ -104,15 +104,33 @@ impl PromptGenerator {
     }
 }
 
+/// Residue classes of [`Prompt::id`] the router distinguishes: it keys
+/// on `(seed, domain, id % 16)`.
+const ID_CLASSES: usize = 16;
+
 /// The router: maps each prompt to the most relevant expert (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Routing hashes `(seed, domain, id % 16)`, so the router's whole input
+/// space is 10 domains × 16 id classes. [`Router::new`] hashes each of
+/// those 160 keys once; [`Router::route`] reads the stored hash and
+/// reduces it modulo the library size on every call.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Router {
-    seed: u64,
+    /// `hashes[domain * 16 + class]`: the `DefaultHasher` digest of
+    /// `(seed, domain, class)`, with `domain` in [`Domain::ALL`] order.
+    hashes: [u64; Domain::ALL.len() * ID_CLASSES],
 }
 
 impl Router {
     pub fn new(seed: u64) -> Self {
-        Router { seed }
+        let mut hashes = [0; Domain::ALL.len() * ID_CLASSES];
+        for (key, hash) in hashes.iter_mut().enumerate() {
+            let mut h = DefaultHasher::new();
+            let class = (key % ID_CLASSES) as u64;
+            (seed, Domain::ALL[key / ID_CLASSES], class).hash(&mut h);
+            *hash = h.finish();
+        }
+        Router { hashes }
     }
 
     /// Routes a prompt to one of `n_experts` experts: prompts of the same
@@ -122,17 +140,56 @@ impl Router {
     /// # Panics
     ///
     /// Panics when `n_experts` is zero.
+    #[inline]
     pub fn route(&self, prompt: &Prompt, n_experts: usize) -> usize {
         assert!(n_experts > 0, "routing requires at least one expert");
-        let mut h = DefaultHasher::new();
-        (self.seed, prompt.domain, prompt.id % 16).hash(&mut h);
-        (h.finish() % n_experts as u64) as usize
+        // `Domain` is declared in `Domain::ALL` order, so its
+        // discriminant is its row.
+        let key = prompt.domain as usize * ID_CLASSES + (prompt.id % ID_CLASSES as u64) as usize;
+        (self.hashes[key] % n_experts as u64) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference model: one fresh `DefaultHasher` per routing call.
+    fn reference_route(seed: u64, prompt: &Prompt, n_experts: usize) -> usize {
+        let mut h = DefaultHasher::new();
+        (seed, prompt.domain, prompt.id % 16).hash(&mut h);
+        (h.finish() % n_experts as u64) as usize
+    }
+
+    #[test]
+    fn memoized_route_matches_the_per_call_hash() {
+        for seed in [0xc1a5fe2u64, 1, 0xdead_beef] {
+            let router = Router::new(seed);
+            for n_experts in [1usize, 7, 150, 480] {
+                for &domain in &Domain::ALL {
+                    for id in 0..64u64 {
+                        // Routing never keys on prompt length.
+                        for tokens in [1usize, 128, 4096] {
+                            let p = Prompt { id, domain, tokens };
+                            assert_eq!(
+                                router.route(&p, n_experts),
+                                reference_route(seed, &p, n_experts),
+                                "seed {seed:#x}, {n_experts} experts, prompt {p:?}"
+                            );
+                        }
+                    }
+                }
+                let mut gen = PromptGenerator::new(seed ^ 0x5eed, 512);
+                for p in gen.batch(512) {
+                    assert_eq!(
+                        router.route(&p, n_experts),
+                        reference_route(seed, &p, n_experts),
+                        "seed {seed:#x}, {n_experts} experts, prompt {p:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn routing_is_deterministic() {

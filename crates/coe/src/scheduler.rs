@@ -533,7 +533,7 @@ impl SambaCoeNode {
                 let wave_start = clock;
                 let mut wave_recovery = Recovery::default();
                 for &i in &wave {
-                    assignments[i] = self.route_one(&requests[i].prompt, n_experts);
+                    assignments[i] = self.router.route(&requests[i].prompt, n_experts);
                 }
 
                 // One router pass over the newly admitted requests.

@@ -8,7 +8,6 @@
 //! executes sequentially (§VI-B).
 
 use crate::expert::ExpertLibrary;
-use crate::lanes::RouteTable;
 use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
 use serde::{Deserialize, Serialize};
@@ -96,11 +95,6 @@ pub struct SambaCoeNode {
     pub(crate) retry: RetryPolicy,
     pub(crate) tracer: Tracer,
     pub(crate) slo: Option<SloTracker>,
-    /// Memoized router decisions ([`crate::lanes::RouteTable`]), built by
-    /// [`SambaCoeNode::with_intra_jobs`]. A single node has no per-node
-    /// lanes to fan out, so the intra-run knob here only swaps the route
-    /// pass for the table lookup — bit-identical by construction.
-    pub(crate) route_table: Option<RouteTable>,
 }
 
 impl SambaCoeNode {
@@ -110,6 +104,7 @@ impl SambaCoeNode {
     ///
     /// # Errors
     ///
+    /// [`CoeError::EmptyLibrary`] when the library has no experts;
     /// [`CoeError::Compile`] when building or compiling the expert graphs
     /// fails (e.g. `prompt_tokens == 0`); [`CoeError::DdrFull`] (or any
     /// other registration error) when the library does not fit node DDR —
@@ -120,6 +115,9 @@ impl SambaCoeNode {
         library: ExpertLibrary,
         prompt_tokens: usize,
     ) -> Result<Self, CoeError> {
+        if library.is_empty() {
+            return Err(CoeError::EmptyLibrary);
+        }
         let calib = Calibration::baseline();
         let programs = ExpertPrograms::shared(
             &node.socket,
@@ -148,7 +146,6 @@ impl SambaCoeNode {
             retry: RetryPolicy::standard(),
             tracer: Tracer::disabled(),
             slo: None,
-            route_table: None,
         })
     }
 
@@ -199,31 +196,6 @@ impl SambaCoeNode {
             config,
         ));
         self
-    }
-
-    /// Sets the intra-run parallelism knob. On a single node the only
-    /// lane-engine component that applies is the [`RouteTable`] memo
-    /// (there is no per-node work to fan across threads), so `jobs > 1`
-    /// builds the table and `jobs <= 1` keeps the live router — both
-    /// produce bit-identical assignments.
-    #[must_use]
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        self.route_table = if jobs > 1 {
-            Some(RouteTable::build(&self.router, self.library.len()))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// One routing decision through the memo when built, else the live
-    /// router. Bit-identical either way ([`RouteTable::build`] enumerates
-    /// the router itself).
-    pub(crate) fn route_one(&self, prompt: &Prompt, n_experts: usize) -> usize {
-        match &self.route_table {
-            Some(table) => table.route(prompt),
-            None => self.router.route(prompt, n_experts),
-        }
     }
 
     pub fn library(&self) -> &ExpertLibrary {
@@ -415,7 +387,7 @@ impl SambaCoeNode {
     ) -> ServeReport {
         assert!(!prompts.is_empty(), "empty batch");
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let router = self.router_time();
         let (prefill_unit, decode_unit) = self.unit_run_times(output_tokens);
         let run = prefill_unit + decode_unit;
@@ -474,7 +446,7 @@ impl SambaCoeNode {
     pub fn serve_batch(&mut self, prompts: &[Prompt], output_tokens: usize) -> ServeReport {
         assert!(!prompts.is_empty(), "empty batch");
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let router = self.router_time();
         // Activate deduplicated experts in routing order.
         let mut switching = TimeSecs::ZERO;
@@ -551,7 +523,7 @@ impl SambaCoeNode {
             return Ok(self.serve_batch(prompts, output_tokens));
         };
         let n = self.library.len();
-        let assignments: Vec<usize> = prompts.iter().map(|p| self.route_one(p, n)).collect();
+        let assignments: Vec<usize> = prompts.iter().map(|p| self.router.route(p, n)).collect();
         let mut recovery = Recovery::default();
 
         // Router: one classification pass over the batch; a Fail draw is a

@@ -1345,7 +1345,7 @@ impl CoeCluster {
             if let Some(pol) = policies.as_deref_mut() {
                 let active: Vec<usize> = slots
                     .iter()
-                    .map(|s| self.routed_expert_cached(&s.prompt))
+                    .map(|s| self.routed_expert(&s.prompt))
                     .collect();
                 pol.stats.observe_wave(&active);
                 let candidates = pol.prefetch_candidates();

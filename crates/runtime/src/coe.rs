@@ -118,6 +118,9 @@ pub enum CoeError {
     /// Every node in a cluster was marked failed; no survivor can take
     /// the re-routed prompts.
     NoHealthyNodes,
+    /// A serving node or cluster was built over an expert library with
+    /// no experts: the router has nothing to route to.
+    EmptyLibrary,
 }
 
 impl fmt::Display for CoeError {
@@ -142,6 +145,7 @@ impl fmt::Display for CoeError {
                 write!(f, "socket fabric dropped execution {attempts} times")
             }
             CoeError::NoHealthyNodes => write!(f, "no healthy nodes left in the cluster"),
+            CoeError::EmptyLibrary => write!(f, "the expert library has no experts to route to"),
         }
     }
 }

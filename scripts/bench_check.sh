@@ -3,9 +3,9 @@
 # snapshot (or takes a pre-generated one as $1) and compares it against
 # the committed BENCH_PR10.json baseline; exits non-zero if any tracked
 # metric drifts beyond its tolerance. CI runs exactly this script.
-# Wall-clock timings (sweep at 1 job vs N jobs, intra-run lane timings,
-# surrogate grid timings, host cores) ride along as info entries, which
-# are recorded but never compared.
+# Wall-clock timings (sweep at 1 job vs N jobs, the large-cluster wave
+# timing and its digest, surrogate grid timings, host cores) ride along
+# as info entries, which are recorded but never compared.
 #
 # Usage:
 #   scripts/bench_check.sh                  # regenerate current snapshot in-process

@@ -39,16 +39,6 @@ fi
 grep -q "MULTI-TENANT CHAOS" /tmp/tenants_jobs1.out
 rm -f /tmp/tenants_jobs1.out /tmp/tenants_jobs2.out
 
-echo "==> repro tenants --intra-jobs parity (lane engine == sequential wave loop, byte-for-byte)"
-./target/release/repro --intra-jobs 1 tenants > /tmp/tenants_intra1.out
-./target/release/repro --intra-jobs 4 tenants > /tmp/tenants_intra4.out
-if ! diff -u /tmp/tenants_intra1.out /tmp/tenants_intra4.out; then
-  echo "tenants output differs between --intra-jobs 1 and --intra-jobs 4" >&2
-  exit 1
-fi
-grep -q "MULTI-TENANT CHAOS" /tmp/tenants_intra1.out
-rm -f /tmp/tenants_intra1.out /tmp/tenants_intra4.out
-
 echo "==> repro placement policy smoke (stats-driven serving, --jobs parity)"
 ./target/release/repro --jobs 1 placement > /tmp/placement_jobs1.out
 ./target/release/repro --jobs 4 placement > /tmp/placement_jobs4.out

@@ -46,6 +46,40 @@ impl CaseRng {
     }
 }
 
+/// FNV-1a, 64-bit, over formatted text as it is written, with the byte
+/// count alongside: pins a large `Debug` rendering without keeping it.
+// Only the digest-pinning suites use it.
+#[allow(dead_code)]
+pub struct Fnv {
+    pub hash: u64,
+    pub len: usize,
+}
+
+#[allow(dead_code)]
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            len: 0,
+        }
+    }
+
+    /// `(bytes written, hash)`.
+    pub fn pin(&self) -> (usize, u64) {
+        (self.len, self.hash)
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.len += s.len();
+        Ok(())
+    }
+}
+
 /// How many rounds the shrink loop runs before settling on the smallest
 /// reproduction found so far. Fixed so a pathological shrinker cannot
 /// spin a CI job forever.

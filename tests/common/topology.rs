@@ -2,10 +2,9 @@
 //! property suite that wants "some plausible cluster" rather than one
 //! hand-picked shape: node counts, expert placements (round-robin,
 //! grown, rebalanced, or degraded by a pre-failed node), and paged-KV
-//! HBM budgets all vary per case. The `intra_diff` differential harness
-//! sweeps these against every `intra_jobs` value, and the tenancy/serve
-//! suites reuse the same generator so their invariants are proven over
-//! the same topology space.
+//! HBM budgets all vary per case. The wave-engine regression pins, the
+//! tenancy suite and the serve suite share the generator, so their
+//! invariants are proven over the same topology space.
 //!
 //! Shrinking follows the harness convention (`check_cases` runs a fixed
 //! number of rounds): each step proposes strictly simpler topologies —
@@ -112,23 +111,21 @@ impl ClusterTopology {
         out
     }
 
-    /// Builds the cluster at `intra_jobs` worker lanes: constructs,
-    /// grows, rebalances, and applies the pre-run failure, in that
-    /// order.
+    /// Builds the cluster: constructs, grows, rebalances, and applies
+    /// the pre-run failure, in that order.
     ///
     /// # Panics
     ///
     /// Panics if the library cannot be placed — impossible for
     /// generated topologies (the expert count is bounded per node).
-    pub fn build_jobs(&self, intra_jobs: usize) -> CoeCluster {
+    pub fn build(&self) -> CoeCluster {
         let mut cluster = CoeCluster::new(
             NodeSpec::sn40l_node(),
             self.nodes,
             ExpertLibrary::new(self.experts),
             self.prompt_tokens,
         )
-        .expect("generated topologies always fit")
-        .with_intra_jobs(intra_jobs);
+        .expect("generated topologies always fit");
         for _ in 0..self.grown_nodes {
             cluster.add_node();
         }
@@ -139,11 +136,6 @@ impl ClusterTopology {
             cluster.fail_node(node);
         }
         cluster
-    }
-
-    /// [`ClusterTopology::build_jobs`] on the sequential reference path.
-    pub fn build(&self) -> CoeCluster {
-        self.build_jobs(1)
     }
 
     /// A single [`SambaCoeNode`] with this topology's library and

@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::{check_cases, CaseRng};
+use common::{check_cases, CaseRng, Fnv};
 use samba_coe::models::table2;
 use sn_arch::{Bytes, Calibration, Flops, SocketSpec};
 use sn_compiler::executable::build_kernels;
@@ -1011,22 +1011,6 @@ fn per_node_facts_cover_their_corners() {
     );
 }
 
-/// FNV-1a, 64-bit, over formatted text as it is written.
-struct Fnv {
-    hash: u64,
-    len: usize,
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        self.len += s.len();
-        Ok(())
-    }
-}
-
 /// Every default Table II benchmark compiled unfused and spatially fused
 /// (34 executables), pinned to the `Debug` bytes of their kernels (names,
 /// nodes, resources, `program_signature`), estimates and memory plans as
@@ -1035,10 +1019,7 @@ impl std::fmt::Write for Fnv {
 #[test]
 fn table2_executables_are_byte_identical_to_the_reference_passes() {
     let compiler = Compiler::new(SocketSpec::sn40l(), Calibration::baseline());
-    let mut digest = Fnv {
-        hash: 0xcbf2_9ce4_8422_2325,
-        len: 0,
-    };
+    let mut digest = Fnv::new();
     for bench in table2() {
         let graph = bench.build_graph();
         for policy in [FusionPolicy::Unfused, FusionPolicy::Spatial] {
@@ -1055,8 +1036,5 @@ fn table2_executables_are_byte_identical_to_the_reference_passes() {
             .expect("hashing cannot fail");
         }
     }
-    assert_eq!(
-        (digest.len, digest.hash),
-        (13_737_212, 0x0f01_ec72_87d6_faae)
-    );
+    assert_eq!(digest.pin(), (13_737_212, 0x0f01_ec72_87d6_faae));
 }

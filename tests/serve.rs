@@ -356,7 +356,7 @@ fn property_queue_delay_is_never_negative() {
 /// shared topology generator: library size and compiled graph length
 /// vary per case instead of being pinned to one 40-expert node, so the
 /// scheduler's accounting is proven across the same topology space the
-/// `intra_diff` harness sweeps.
+/// wave-engine regression pins cover.
 #[test]
 fn property_conservation_holds_across_generated_topologies() {
     check_cases(
