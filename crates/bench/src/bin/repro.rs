@@ -600,51 +600,52 @@ fn run_profile() {
     }
 }
 
-fn run_surrogate(jobs: usize, timed: bool) {
-    hr("SURROGATE: calibrated analytical grid with exact-sim spot checks");
+fn run_grid(jobs: usize, timed: bool) {
+    use sn_bench::grid;
+    hr("GRID: exact capacity grid (nodes x chaos x mix x load)");
     let wall = std::time::Instant::now();
-    let suite = sn_bench::surrogate::surrogate_suite(jobs);
-    let suite_ms = wall.elapsed().as_secs_f64() * 1e3;
-
+    let cells = grid::grid_jobs(jobs);
+    let grid_ms = wall.elapsed().as_secs_f64() * 1e3;
     println!(
-        "calibration anchors ({} exact runs; fit {} basis terms per metric):",
-        suite.anchors.len(),
-        sn_surrogate::BASIS
+        "{} cells, every one simulated exactly: {} cluster sizes x chaos off/on x \
+         standard/batch-heavy mix x {} loads",
+        cells.len(),
+        grid::GRID_NODES.len(),
+        grid::GRID_LOAD_STEPS,
     );
     println!(
-        "  {:<28} {:>6} {:>6} {:>9} {:>9} {:>8} {:>11}",
-        "anchor", "waves", "occup", "i.p99 ms", "hit rate", "sw.bound", "makespan ms"
+        "\n{:<6} {:<6} {:<12} {:>22} {:>24}",
+        "Nodes", "Chaos", "Mix", "Worst int p99 (load)", "Worst makespan (load)"
     );
-    for a in &suite.anchors {
-        let e = &a.anchor.exact;
+    for group in cells.chunks(grid::GRID_LOAD_STEPS) {
+        let (case, _) = group[0];
+        let p99 = group
+            .iter()
+            .max_by(|a, b| a.1.interactive_p99_ms.total_cmp(&b.1.interactive_p99_ms))
+            .expect("non-empty group");
+        let drain = group
+            .iter()
+            .max_by(|a, b| a.1.makespan_ms.total_cmp(&b.1.makespan_ms))
+            .expect("non-empty group");
         println!(
-            "  {:<28} {:>6} {:>6.3} {:>9.2} {:>9.3} {:>8.3} {:>11.1}",
-            a.label,
-            a.waves.waves,
-            a.waves.mean_occupancy,
-            e.values[0],
-            e.values[4],
-            e.values[5],
-            e.values[6],
+            "{:<6} {:<6} {:<12} {:>22} {:>24}",
+            case.nodes,
+            if case.chaos { "on" } else { "off" },
+            if case.batch_heavy {
+                "batch-heavy"
+            } else {
+                "standard"
+            },
+            format!("{:.2} ms ({:.2}x)", p99.1.interactive_p99_ms, p99.0.load),
+            format!("{:.1} ms ({:.2}x)", drain.1.makespan_ms, drain.0.load),
         );
     }
-
-    println!(
-        "\npredicted grid: {} cells (nodes x chaos x mix x load) — {}x the exact sweep",
-        suite.predictions.len(),
-        suite.predictions.len() / sn_bench::tenants::SWEEP_LOADS.len()
-    );
-    let (worst_cell, worst) = suite
-        .predictions
+    let (worst_cell, worst) = cells
         .iter()
-        .max_by(|a, b| {
-            a.1.values[6]
-                .partial_cmp(&b.1.values[6])
-                .expect("finite makespans")
-        })
+        .max_by(|a, b| a.1.makespan_ms.total_cmp(&b.1.makespan_ms))
         .expect("grid is non-empty");
     println!(
-        "  longest predicted drain: n{} x{:.2}{}{} -> {:.1} ms makespan, {:.3} hit rate",
+        "\nlongest exact drain: n{} x{:.2}{}{} -> {:.1} ms makespan, {:.3} hit rate",
         worst_cell.nodes,
         worst_cell.load,
         if worst_cell.chaos { " chaos" } else { "" },
@@ -653,64 +654,18 @@ fn run_surrogate(jobs: usize, timed: bool) {
         } else {
             ""
         },
-        worst.values[6],
-        worst.values[4],
+        worst.makespan_ms,
+        worst.hbm_hit_rate,
     );
-
-    println!(
-        "\nexact spot checks (seed {:#x}):",
-        sn_bench::surrogate::SPOT_SEED
-    );
-    println!(
-        "  {:<24} {:>13} {:>13} {:>13} {:>10}",
-        "cell", "i.p99 p/e ms", "hit p/e", "makespan p/e", "worst err"
-    );
-    for s in &suite.spots {
-        let worst_err = s.errors.iter().cloned().fold(0.0f64, f64::max);
-        println!(
-            "  n{:<2} x{:<4.2}{:<7}{:<7} {:>6.1}/{:<6.1} {:>6.3}/{:<6.3} {:>6.0}/{:<6.0} {:>10.3}",
-            s.case.nodes,
-            s.case.load,
-            if s.case.chaos { " chaos" } else { "" },
-            if s.case.batch_heavy { " batch+" } else { "" },
-            s.predicted.values[0],
-            s.exact.values[0],
-            s.predicted.values[4],
-            s.exact.values[4],
-            s.predicted.values[6],
-            s.exact.values[6],
-            worst_err,
-        );
-    }
-
-    println!("\nper-metric worst relative error vs committed budget:");
-    for (m, name) in sn_surrogate::METRIC_NAMES.iter().enumerate() {
-        println!(
-            "  {:<26} {:>7.3} / {:<5.2} {}",
-            name,
-            suite.max_errors[m],
-            sn_bench::surrogate::ERROR_BUDGETS[m],
-            if suite.max_errors[m] <= sn_bench::surrogate::ERROR_BUDGETS[m] {
-                "ok"
-            } else {
-                "OVER"
-            }
-        );
-    }
-    assert!(
-        suite.gate,
-        "surrogate drift gate: a spot-check error exceeded its committed budget"
-    );
-    println!("gate: PASS — every metric within budget");
     if timed {
-        println!("suite wall-clock {suite_ms:.1} ms at {jobs} jobs");
+        println!("grid wall-clock {grid_ms:.1} ms at {jobs} jobs");
     }
 }
 
 fn run_bench_json(path: &str, jobs: usize) {
     hr("BENCH SNAPSHOT: tracked key figures for the regression harness");
     let wall = std::time::Instant::now();
-    let (mut snap, suite) = sn_bench::profile::bench_snapshot_suite_jobs(jobs);
+    let mut snap = sn_bench::profile::bench_snapshot_jobs(jobs);
     let elapsed_ms = wall.elapsed().as_secs_f64() * 1e3;
     snap.push_info("simulator_wall_clock_ms", &format!("{elapsed_ms:.1}"));
     // Sweep wall-clock, legacy path vs the requested fan-out. Info
@@ -742,27 +697,6 @@ fn run_bench_json(path: &str, jobs: usize) {
     let intra = sn_bench::intra::intra_point();
     snap.push_info("intra_wall_ms", &format!("{:.2}", intra.wall_ms));
     snap.push_info("intra_digest", &format!("{:016x}", intra.digest.checksum));
-    // Surrogate scale claim: predicting the whole grid must cost less
-    // wall-clock than one exact tenants sweep. The predictions reuse
-    // the calibration the snapshot's suite already fitted; both walls
-    // ride as info rows (recorded, never compared).
-    let wall = std::time::Instant::now();
-    let grid = sn_bench::surrogate::predict_grid_jobs(&suite.calibration, jobs);
-    let predict_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let wall = std::time::Instant::now();
-    let exact_sweep = sn_bench::tenants::tenants_sweep_jobs(jobs);
-    let exact_ms = wall.elapsed().as_secs_f64() * 1e3;
-    snap.push_info("surrogate_grid_points", &grid.len().to_string());
-    snap.push_info(
-        "surrogate_grid_vs_exact_sweep_size",
-        &format!("{}", grid.len() / exact_sweep.len().max(1)),
-    );
-    snap.push_info("surrogate_predict_wall_ms", &format!("{predict_ms:.2}"));
-    snap.push_info("tenants_exact_sweep_wall_ms", &format!("{exact_ms:.2}"));
-    snap.push_info(
-        "surrogate_predict_speedup",
-        &format!("{:.1}", exact_ms / predict_ms.max(1e-9)),
-    );
     let json = snap.to_json();
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("cannot write snapshot to {path}: {e}");
@@ -819,7 +753,7 @@ fn usage_exit(complaint: &str) -> ! {
     eprintln!(
         "usage: repro [--jobs N] [--time] [--obs out.json] [table1|table2|\
          fig1|fig10|fig11|fig12|fig13|table3|ablations|extensions|serve|tenants|placement|\
-         obs|intra|surrogate|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
+         obs|intra|grid|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
          --bench-check <baseline> [current]|all]"
     );
     std::process::exit(2);
@@ -870,7 +804,7 @@ fn main() {
             return;
         }
         "bench-json" | "--bench-json" => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR10.json");
+            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR20.json");
             run_bench_json(path, jobs);
             return;
         }
@@ -901,7 +835,7 @@ fn main() {
         "placement" | "--placement" => run_placement(jobs),
         "obs" => run_obs(jobs, obs_export.as_deref()),
         "intra" | "--intra" => run_intra(),
-        "surrogate" | "--surrogate" => run_surrogate(jobs, timed),
+        "grid" | "--grid" => run_grid(jobs, timed),
         "all" => {
             table1();
             table2();
@@ -917,7 +851,7 @@ fn main() {
             run_tenants(jobs);
             run_placement(jobs);
             run_obs(jobs, obs_export.as_deref());
-            run_surrogate(jobs, timed);
+            run_grid(jobs, timed);
             run_ablations();
         }
         other => usage_exit(&format!("unknown experiment '{other}'")),

@@ -8,13 +8,13 @@
 pub mod ablations;
 pub mod experiments;
 pub mod faults;
+pub mod grid;
 pub mod intra;
 pub mod obs;
 pub mod par;
 pub mod placement;
 pub mod profile;
 pub mod serve;
-pub mod surrogate;
 pub mod tenants;
 pub mod trace;
 pub mod validate;

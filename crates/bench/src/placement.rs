@@ -308,19 +308,12 @@ pub fn placement_report_seeded(seed: u64, case: PlacementCase) -> TenancyReport 
 /// attribution and returns the switch-bound share: the fraction of the
 /// serve bound by the DDR expert-switch path (demand switches plus any
 /// exposed background transfers), against decode streaming the rest of
-/// the time. Deterministic: a pure function of the report.
-pub fn switch_bound_fraction(report: &TenancyReport) -> f64 {
-    switch_bound_fraction_for(report, SWEEP_EXPERTS)
-}
-
-/// [`switch_bound_fraction`] with an explicit expert-library size, so
-/// reports from scenarios other than this sweep's CoE-150 composition
-/// (e.g. the surrogate's exact spot checks over the tenants-style grid)
-/// classify against their own per-expert switch bytes. The arithmetic
-/// is identical — `switch_bound_fraction` is the `SWEEP_EXPERTS` case.
-pub fn switch_bound_fraction_for(report: &TenancyReport, experts: usize) -> f64 {
-    let machine =
-        MachineProfile::from_node(&NodeSpec::sn40l_node()).scale(report.final_nodes.max(1) as f64);
+/// the time. `node` is the spec the report's cluster was built from and
+/// `experts` its library size, so each scenario classifies against its
+/// own bandwidths and per-expert switch bytes. Deterministic: a pure
+/// function of its arguments.
+pub fn switch_bound_fraction(report: &TenancyReport, node: &NodeSpec, experts: usize) -> f64 {
+    let machine = MachineProfile::from_node(node).scale(report.final_nodes.max(1) as f64);
     let expert_bytes = ExpertLibrary::new(experts).expert_bytes();
     let policy = report.policy.unwrap_or_default();
     let switch_time = report.switch_time + policy.transfer_exposed;
@@ -378,7 +371,11 @@ pub fn placement_point_seeded(seed: u64, case: PlacementCase) -> PlacementSweepP
         expert_misses: report.expert_misses,
         hit_rate: report.expert_hit_rate(),
         switch_time: report.switch_time,
-        switch_bound_fraction: switch_bound_fraction(&report),
+        switch_bound_fraction: switch_bound_fraction(
+            &report,
+            &NodeSpec::sn40l_node(),
+            SWEEP_EXPERTS,
+        ),
         prefetch_issued: policy.prefetch_issued,
         prefetch_hits: policy.prefetch_hits,
         prefetch_accuracy: policy.prefetch_accuracy(),

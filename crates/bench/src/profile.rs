@@ -12,7 +12,7 @@
 //! attribution, counters, and SLO percentiles — into a
 //! [`BenchSnapshot`] with per-metric tolerances — including the online
 //! serving sweep from [`crate::serve`]. `scripts/bench_check.sh`
-//! compares a fresh snapshot against the committed `BENCH_PR5.json`
+//! compares a fresh snapshot against the committed `BENCH_PR20.json`
 //! baseline and fails CI on any out-of-tolerance drift. The snapshot's
 //! metric runs fan across worker threads ([`bench_snapshot_jobs`]) yet
 //! assemble in fixed order, so the JSON is byte-identical at any job
@@ -105,7 +105,6 @@ enum SnapshotTask {
     Profiled,
     SweepPoint(f64),
     PlacementPoint(crate::placement::PlacementCase),
-    Surrogate,
 }
 
 /// The result of one [`SnapshotTask`].
@@ -116,7 +115,6 @@ enum SnapshotPart {
     Profiled(Box<ProfiledRun>),
     SweepPoint(crate::serve::ServeSweepPoint),
     PlacementPoint(Box<crate::placement::PlacementSweepPoint>),
-    Surrogate(Box<crate::surrogate::SurrogateSuite>),
 }
 
 /// Builds the tracked-metric snapshot for the continuous-benchmark
@@ -134,16 +132,6 @@ pub fn bench_snapshot() -> BenchSnapshot {
 /// stays sequential, so the snapshot JSON is byte-identical for every
 /// `jobs` value — `scripts/bench_check.sh` holds under parallelism.
 pub fn bench_snapshot_jobs(jobs: usize) -> BenchSnapshot {
-    bench_snapshot_suite_jobs(jobs).0
-}
-
-/// [`bench_snapshot_jobs`] also returning the surrogate suite the
-/// snapshot's gate metrics came from, so `repro --bench-json` can
-/// record prediction wall-clock info rows without running the anchors
-/// twice.
-pub fn bench_snapshot_suite_jobs(
-    jobs: usize,
-) -> (BenchSnapshot, Box<crate::surrogate::SurrogateSuite>) {
     let mut tasks = vec![
         SnapshotTask::Fig1,
         SnapshotTask::Fig12,
@@ -167,18 +155,12 @@ pub fn bench_snapshot_suite_jobs(
             },
         ));
     }
-    // The surrogate suite: exact anchors + fit + 480-cell predicted
-    // grid + seeded exact spot checks. Runs single-threaded inside its
-    // task (its own fan-out would nest thread pools); the suite is
-    // byte-identical at any job count either way.
-    tasks.push(SnapshotTask::Surrogate);
     let mut fig1 = None;
     let mut fig12 = None;
     let mut table3 = None;
     let mut run = None;
     let mut points = Vec::with_capacity(crate::serve::SWEEP_RATES.len());
     let mut placement_points = Vec::new();
-    let mut suite = None;
     for part in crate::par::ordered_map(jobs, &tasks, |_, task| match task {
         SnapshotTask::Fig1 => SnapshotPart::Fig1(experiments::fig1()),
         SnapshotTask::Fig12 => SnapshotPart::Fig12(experiments::fig12(8)),
@@ -190,9 +172,6 @@ pub fn bench_snapshot_suite_jobs(
         SnapshotTask::PlacementPoint(case) => {
             SnapshotPart::PlacementPoint(Box::new(crate::placement::placement_point(*case)))
         }
-        SnapshotTask::Surrogate => {
-            SnapshotPart::Surrogate(Box::new(crate::surrogate::surrogate_suite(1)))
-        }
     }) {
         match part {
             SnapshotPart::Fig1(v) => fig1 = Some(v),
@@ -202,10 +181,8 @@ pub fn bench_snapshot_suite_jobs(
             // ordered_map keeps input order, so points land rate-sorted.
             SnapshotPart::SweepPoint(p) => points.push(p),
             SnapshotPart::PlacementPoint(p) => placement_points.push(*p),
-            SnapshotPart::Surrogate(s) => suite = Some(s),
         }
     }
-    let suite = suite.expect("surrogate task ran");
     let (fig1, fig12, table3, run) = (
         fig1.expect("fig1 task ran"),
         fig12.expect("fig12 task ran"),
@@ -393,39 +370,7 @@ pub fn bench_snapshot_suite_jobs(
             0.0,
         );
     }
-
-    // Surrogate drift gate: the worst spot-check relative error per
-    // metric rides as a tracked number whose tolerance is the committed
-    // budget, and the pass/fail verdict as exact text — a surrogate
-    // regression fails `bench_check.sh` like any other metric drift.
-    for (m, name) in sn_surrogate::METRIC_NAMES.iter().enumerate() {
-        snap.push_num(
-            &format!("surrogate.err.{name}"),
-            suite.max_errors[m],
-            "relerr",
-            crate::surrogate::ERROR_BUDGETS[m],
-        );
-    }
-    snap.push_num(
-        "surrogate.grid.points",
-        suite.predictions.len() as f64,
-        "count",
-        0.0,
-    );
-    snap.push_num(
-        "surrogate.anchors",
-        suite.anchors.len() as f64,
-        "count",
-        0.0,
-    );
-    snap.push_num(
-        "surrogate.spot_checks",
-        suite.spots.len() as f64,
-        "count",
-        0.0,
-    );
-    snap.push_text("surrogate.gate", if suite.gate { "pass" } else { "fail" });
-    (snap, suite)
+    snap
 }
 
 #[cfg(test)]

@@ -224,44 +224,54 @@ fn bench_check_passes_vacuously_on_an_info_only_snapshot() {
 }
 
 #[test]
-fn surrogate_report_is_byte_identical_across_jobs() {
+fn grid_report_is_byte_identical_across_jobs() {
     let run = |jobs: &str| {
         let out = repro()
-            .args(["--jobs", jobs, "surrogate"])
+            .args(["--jobs", jobs, "grid"])
             .output()
             .expect("repro binary runs");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "surrogate --jobs {jobs} succeeds"
-        );
+        assert_eq!(out.status.code(), Some(0), "grid --jobs {jobs} succeeds");
         out.stdout
     };
     let sequential = run("1");
     assert_eq!(
         sequential,
         run("2"),
-        "surrogate output must not depend on --jobs"
+        "grid output must not depend on --jobs"
     );
     let stdout = String::from_utf8_lossy(&sequential);
     assert!(
-        stdout.contains("SURROGATE") && stdout.contains("calibration anchors"),
-        "surrogate prints the anchor table: {stdout}"
+        stdout.contains("GRID") && stdout.contains("480 cells"),
+        "grid prints its cell count: {stdout}"
     );
     assert!(
-        stdout.contains("gate: PASS"),
-        "every spot-check error is within its committed budget: {stdout}"
+        stdout.contains("longest exact drain"),
+        "grid prints the longest exact drain: {stdout}"
     );
 }
 
 #[test]
-fn usage_line_advertises_the_surrogate_mode() {
+fn usage_line_advertises_the_grid_mode() {
     let out = repro().arg("nonsense").output().expect("repro binary runs");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("surrogate"),
-        "usage line advertises the surrogate mode: {stderr}"
+        stderr.contains("grid"),
+        "usage line advertises the grid mode: {stderr}"
+    );
+}
+
+#[test]
+fn retired_surrogate_mode_is_an_unknown_experiment() {
+    let out = repro()
+        .arg("surrogate")
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(2), "surrogate is exit code 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown experiment 'surrogate'") && stderr.contains("usage:"),
+        "surrogate gets the usage line: {stderr}"
     );
 }
 

@@ -333,7 +333,8 @@ pub struct TenantSummary {
 /// of [`CoeCluster::serve_tenants`]-family runs. Pure readers of loop
 /// state — collecting them never perturbs the serving timeline, so the
 /// tracked report fields stay bit-identical with or without consumers.
-/// Downstream, `sn-surrogate` rolls these up into anchor features.
+/// No library code reads them back; they stay because they are part of
+/// the report, whose `Debug` rendering hostbench digests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WaveFeature {
     /// Wave index (0-based).

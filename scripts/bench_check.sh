@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Continuous-benchmark regression gate. Regenerates the tracked-metric
 # snapshot (or takes a pre-generated one as $1) and compares it against
-# the committed BENCH_PR10.json baseline; exits non-zero if any tracked
+# the committed BENCH_PR20.json baseline; exits non-zero if any tracked
 # metric drifts beyond its tolerance. CI runs exactly this script.
 # Wall-clock timings (sweep at 1 job vs N jobs, the large-cluster wave
-# timing and its digest, surrogate grid timings, host cores) ride along
-# as info entries, which are recorded but never compared.
+# timing and its digest, host cores) ride along as info entries, which
+# are recorded but never compared.
 #
 # Usage:
 #   scripts/bench_check.sh                  # regenerate current snapshot in-process
@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR10.json
+BASELINE=BENCH_PR20.json
 if [[ ! -f "$BASELINE" ]]; then
   echo "missing baseline $BASELINE — generate one with: cargo run --release -p sn-bench --bin repro -- --bench-json $BASELINE" >&2
   exit 1

@@ -69,14 +69,14 @@ grep -q "resolved" /tmp/obs_jobs1.out
 grep -q '"schema":"sn-obs/v1"' /tmp/obs_jobs1.json
 rm -f /tmp/obs_jobs1.out /tmp/obs_jobs2.out /tmp/obs_jobs1.json /tmp/obs_check.json
 
-echo "==> repro surrogate smoke (calibrated grid + drift gate, --jobs parity)"
-./target/release/repro --jobs 1 surrogate > /tmp/surrogate_jobs1.out
-./target/release/repro --jobs 2 surrogate > /tmp/surrogate_jobs2.out
-if ! diff -u /tmp/surrogate_jobs1.out /tmp/surrogate_jobs2.out; then
-  echo "surrogate output differs between --jobs 1 and --jobs 2" >&2
+echo "==> repro grid smoke (480-cell exact capacity grid, --jobs parity)"
+./target/release/repro --jobs 1 grid > /tmp/grid_jobs1.out
+./target/release/repro --jobs 2 grid > /tmp/grid_jobs2.out
+if ! diff -u /tmp/grid_jobs1.out /tmp/grid_jobs2.out; then
+  echo "grid output differs between --jobs 1 and --jobs 2" >&2
   exit 1
 fi
-grep -q "gate: PASS" /tmp/surrogate_jobs1.out
-rm -f /tmp/surrogate_jobs1.out /tmp/surrogate_jobs2.out
+grep -q "480 cells" /tmp/grid_jobs1.out
+rm -f /tmp/grid_jobs1.out /tmp/grid_jobs2.out
 
 echo "All checks passed."
