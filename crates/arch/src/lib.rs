@@ -23,6 +23,7 @@
 pub mod calib;
 pub mod chip;
 pub mod gpu;
+pub mod hash;
 pub mod node;
 pub mod roofline;
 pub mod socket;

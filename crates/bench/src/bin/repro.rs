@@ -9,7 +9,7 @@
 //! repro intra
 //! repro --trace [out.json]
 //! repro --profile
-//! repro [--jobs N] --bench-json [out.json]
+//! repro [--jobs N] --bench-json <out.json>
 //! repro [--jobs N] --bench-check <baseline.json> [current.json]
 //! ```
 //!
@@ -60,8 +60,11 @@
 //! against the reactive baseline on one HBM-pressured chaos scenario,
 //! printing hit rate, switch-bound share, and prefetch-waste per row.
 //!
-//! `--bench-json` writes the continuous-benchmark snapshot — every
-//! tracked key figure with its tolerance — for `scripts/bench_check.sh`.
+//! `--bench-json <out.json>` writes the continuous-benchmark snapshot —
+//! every tracked key figure with its tolerance — for
+//! `scripts/bench_check.sh`. The path is required: a default would land
+//! on a committed baseline's name and overwrite the file the check
+//! compares against.
 //! `--bench-check` compares a current snapshot (regenerated in-process
 //! when not given) against a committed baseline and exits non-zero if
 //! any tracked metric regressed beyond its tolerance.
@@ -753,7 +756,7 @@ fn usage_exit(complaint: &str) -> ! {
     eprintln!(
         "usage: repro [--jobs N] [--time] [--obs out.json] [table1|table2|\
          fig1|fig10|fig11|fig12|fig13|table3|ablations|extensions|serve|tenants|placement|\
-         obs|intra|grid|--faults|--trace [out.json]|--profile|--bench-json [out.json]|\
+         obs|intra|grid|--faults|--trace [out.json]|--profile|--bench-json <out.json>|\
          --bench-check <baseline> [current]|all]"
     );
     std::process::exit(2);
@@ -804,7 +807,9 @@ fn main() {
             return;
         }
         "bench-json" | "--bench-json" => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_PR20.json");
+            let Some(path) = args.get(1) else {
+                usage_exit("--bench-json wants an output path");
+            };
             run_bench_json(path, jobs);
             return;
         }

@@ -187,6 +187,38 @@ fn obs_mode_and_export_are_byte_identical_across_jobs() {
 }
 
 #[test]
+fn bench_json_without_a_path_is_a_usage_error_and_writes_nothing() {
+    // Run where a default file name would land, and check nothing does.
+    let dir = std::env::temp_dir().join(format!("repro_cli_bench_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = repro()
+        .arg("--bench-json")
+        .current_dir(&dir)
+        .output()
+        .expect("repro binary runs");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir lists")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "bare --bench-json is exit code 2"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--bench-json") && stderr.contains("usage:"),
+        "stderr explains the missing --bench-json path: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "no snapshot printed on a usage error"
+    );
+    assert!(left.is_empty(), "a usage error writes no file: {left:?}");
+}
+
+#[test]
 fn obs_flag_without_a_path_is_a_usage_error() {
     let out = repro().arg("--obs").output().expect("repro binary runs");
     assert_eq!(out.status.code(), Some(2), "bare --obs is exit code 2");

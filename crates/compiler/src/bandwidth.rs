@@ -13,10 +13,11 @@ use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, SocketSpec};
 use sn_dataflow::{Graph, OpKind};
 
-/// Sustained bandwidth of one AGCU DMA stream: one vector (64 B) per
-/// cycle at the core clock.
+/// Sustained bandwidth of one AGCU DMA stream: one PMU vector
+/// (`chip.pmu.vector_width`, 64 B on SN40L and SN10) per cycle at the core
+/// clock.
 pub fn per_stream_bandwidth(socket: &SocketSpec) -> Bandwidth {
-    Bandwidth::from_bytes_per_s(64.0 * socket.chip.clock.as_hz())
+    socket.chip.pmu.peak_bandwidth(socket.chip.clock)
 }
 
 /// Total concurrent DMA streams the socket's AGCUs sustain.
@@ -98,6 +99,21 @@ mod tests {
 
     fn socket() -> SocketSpec {
         SocketSpec::sn40l()
+    }
+
+    #[test]
+    fn stream_bandwidth_follows_the_vector_width() {
+        let s = socket();
+        assert_eq!(
+            per_stream_bandwidth(&s),
+            Bandwidth::from_bytes_per_s(64.0 * s.chip.clock.as_hz())
+        );
+        let mut narrow = s.clone();
+        narrow.chip.pmu.vector_width = sn_arch::Bytes::new(32);
+        assert_eq!(
+            per_stream_bandwidth(&narrow).as_bytes_per_s() * 2.0,
+            per_stream_bandwidth(&s).as_bytes_per_s()
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::estimate::KernelEstimate;
 use crate::fusion::FusionPolicy;
 use crate::memplan::MemoryPlan;
-use crate::resources::{KernelResources, ResourceModel};
+use crate::resources::KernelResources;
 use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Flops, TimeSecs};
 use sn_dataflow::intensity::KernelPartition;
@@ -50,11 +50,15 @@ fn signature(graph: &Graph, nodes: &[NodeId]) -> u64 {
 }
 
 /// Builds kernel descriptors from a partition; each kernel takes its node
-/// list from the partition.
+/// list from the partition. `node_resources[i]` is node `i`'s own need, as
+/// [`crate::fusion::partition`] returns it: a kernel's resources are their
+/// component-wise sum, which is
+/// [`crate::resources::ResourceModel::kernel_resources`] without
+/// recomputing each node.
 pub fn build_kernels(
     graph: &Graph,
     partition: KernelPartition,
-    model: &ResourceModel,
+    node_resources: &[KernelResources],
 ) -> Vec<Kernel> {
     partition
         .into_iter()
@@ -73,7 +77,10 @@ pub fn build_kernels(
             Kernel {
                 id: KernelId(i as u32),
                 name,
-                resources: model.kernel_resources(graph, &nodes),
+                resources: nodes
+                    .iter()
+                    .map(|n| node_resources[n.index()])
+                    .fold(KernelResources::default(), KernelResources::combine),
                 program_signature: signature(graph, &nodes),
                 nodes,
             }

@@ -24,7 +24,9 @@ pub enum FusionPolicy {
     Spatial,
 }
 
-/// Partitions the graph into kernels under the policy.
+/// Partitions the graph into kernels under the policy. Also returns each
+/// node's own resources, indexed by node, which the pass needs anyway and
+/// [`crate::executable::build_kernels`] sums per kernel.
 ///
 /// # Errors
 ///
@@ -34,7 +36,7 @@ pub fn partition(
     graph: &Graph,
     policy: FusionPolicy,
     model: &ResourceModel,
-) -> Result<KernelPartition, CompileError> {
+) -> Result<(KernelPartition, Vec<KernelResources>), CompileError> {
     // Validate individual operators first: they must fit even unfused.
     let resources: Vec<KernelResources> = graph
         .node_ids()
@@ -50,10 +52,11 @@ pub fn partition(
             });
         }
     }
-    match policy {
-        FusionPolicy::Unfused => Ok(graph.node_ids().map(|n| vec![n]).collect()),
-        FusionPolicy::Spatial => Ok(spatial_partition(graph, model, &resources)),
-    }
+    let kernels = match policy {
+        FusionPolicy::Unfused => graph.node_ids().map(|n| vec![n]).collect(),
+        FusionPolicy::Spatial => spatial_partition(graph, model, &resources),
+    };
+    Ok((kernels, resources))
 }
 
 /// `resources[i]` is node `i`'s own need. The current kernel's need is kept
@@ -101,7 +104,7 @@ mod tests {
     #[test]
     fn unfused_gives_one_kernel_per_op() {
         let g = monarch_fig3();
-        let p = partition(&g, FusionPolicy::Unfused, &model()).unwrap();
+        let p = partition(&g, FusionPolicy::Unfused, &model()).unwrap().0;
         assert_eq!(p.len(), g.node_count());
         assert!(is_valid_partition(&g, &p));
     }
@@ -109,7 +112,7 @@ mod tests {
     #[test]
     fn fig3_fuses_fully() {
         let g = monarch_fig3();
-        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap();
+        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap().0;
         assert_eq!(p.len(), 1, "the whole Monarch example is one kernel");
     }
 
@@ -118,7 +121,7 @@ mod tests {
         // §VI-A: "the entire FlashFFTConv benchmark is executed with a
         // single kernel launch".
         let g = flash_fft_conv(8, 32, 3);
-        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap();
+        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap().0;
         assert_eq!(p.len(), 1);
     }
 
@@ -134,7 +137,7 @@ mod tests {
         }
         b.mark_output(cur);
         let g = b.build().unwrap();
-        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap();
+        let p = partition(&g, FusionPolicy::Spatial, &model()).unwrap().0;
         assert_eq!(
             p.len(),
             4,
@@ -166,7 +169,7 @@ mod tests {
         b.mark_output(cur);
         let g = b.build().unwrap();
         let m = model();
-        let p = partition(&g, FusionPolicy::Spatial, &m).unwrap();
+        let p = partition(&g, FusionPolicy::Spatial, &m).unwrap().0;
         assert!(p.len() > 1, "eight 256-PCU GEMMs cannot share one socket");
         for k in &p {
             assert!(
@@ -202,7 +205,7 @@ mod tests {
     fn spatial_never_exceeds_budget() {
         let g = flash_fft_conv(16, 32, 3);
         let m = model();
-        for k in partition(&g, FusionPolicy::Spatial, &m).unwrap() {
+        for k in partition(&g, FusionPolicy::Spatial, &m).unwrap().0 {
             assert!(m.fits(m.kernel_resources(&g, &k)));
         }
     }

@@ -116,8 +116,8 @@ impl Compiler {
     /// cannot fit the socket even as its own kernel.
     pub fn compile(&self, graph: &Graph, policy: FusionPolicy) -> Result<Executable, CompileError> {
         let model = ResourceModel::new(&self.socket);
-        let partition = fusion::partition(graph, policy, &model)?;
-        let kernels = executable::build_kernels(graph, partition, &model);
+        let (partition, resources) = fusion::partition(graph, policy, &model)?;
+        let kernels = executable::build_kernels(graph, partition, &resources);
         let memory = memplan::plan(graph, &kernels, &self.socket);
         let estimates = kernels
             .iter()

@@ -247,12 +247,12 @@ pub fn plan_with_policy(
     }
 
     // Address assignment with static GC: sweep kernels in order; free dead
-    // symbols before allocating new ones so addresses get reused. Each
-    // region waits in the bucket of its last kernel and is freed when the
-    // next kernel starts. The order of frees within one kernel cannot move
-    // an offset: `RegionAllocator::free` coalesces neighbours, so its
-    // sorted free list is always the unique set of maximal free extents,
-    // whatever order the same regions were returned in.
+    // symbols before allocating new ones so addresses get reused. A symbol
+    // is allocated when its first kernel starts and freed when the kernel
+    // after its last one starts. The order of frees within one kernel
+    // cannot move an offset: `RegionAllocator::free` coalesces neighbours,
+    // so its sorted free list is always the unique set of maximal free
+    // extents, whatever order the same regions were returned in.
     for tier in [MemoryTier::Hbm, MemoryTier::Ddr] {
         let capacity = match tier {
             MemoryTier::Hbm => socket.hbm.capacity,
@@ -261,33 +261,37 @@ pub fn plan_with_policy(
         if capacity == Bytes::ZERO {
             continue;
         }
+        let in_tier = || {
+            symbols
+                .iter()
+                .enumerate()
+                .filter(move |(_, s)| s.tier == tier)
+        };
+        let starting = Buckets::new(span, || in_tier().map(|(i, s)| (i, s.lifetime.0)));
+        let ending = Buckets::new(span, || in_tier().map(|(i, s)| (i, s.lifetime.1)));
         let mut alloc = RegionAllocator::new(tier, capacity);
-        let mut ending: Vec<Vec<Region>> = vec![Vec::new(); span];
-        let mut order: Vec<usize> = (0..symbols.len())
-            .filter(|&i| symbols[i].tier == tier)
-            .collect();
-        order.sort_by_key(|&i| symbols[i].lifetime.0);
-        let mut oi = 0;
         for k in 0..span {
             if k > 0 {
-                for region in std::mem::take(&mut ending[k - 1]) {
-                    alloc.free(region).expect("region was allocated");
+                for &i in ending.get(k - 1) {
+                    let s = &symbols[i as usize];
+                    if s.offset != u64::MAX {
+                        let region = Region {
+                            tier,
+                            offset: s.offset,
+                            size: s.bytes,
+                        };
+                        alloc.free(region).expect("region was allocated");
+                    }
                 }
             }
-            while oi < order.len() && symbols[order[oi]].lifetime.0 == k {
-                let s = &mut symbols[order[oi]];
+            for &i in starting.get(k) {
+                let s = &mut symbols[i as usize];
                 // If the tier overflows even after GC, fall back to a
                 // virtual address past capacity (flagged by peak stats).
-                match alloc.alloc(s.bytes) {
-                    Ok(region) => {
-                        s.offset = region.offset;
-                        ending[s.lifetime.1].push(region);
-                    }
-                    Err(_) => {
-                        s.offset = u64::MAX;
-                    }
-                }
-                oi += 1;
+                s.offset = match alloc.alloc(s.bytes) {
+                    Ok(region) => region.offset,
+                    Err(_) => u64::MAX,
+                };
             }
         }
     }
@@ -297,6 +301,46 @@ pub fn plan_with_policy(
         placements: symbols,
         hbm_peak,
         spilled,
+    }
+}
+
+/// Symbol indices bucketed by kernel in one flat array, each bucket in
+/// symbol order: a counting sort, laid out like a graph's consumer lists.
+struct Buckets {
+    /// Bucket `k` is `items[start[k]..start[k + 1]]`.
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Buckets {
+    /// Buckets the `(symbol, kernel)` pairs `keyed` yields, kernels in
+    /// `0..span`. `keyed` is walked twice: once to count, once backwards
+    /// to place.
+    fn new<I>(span: usize, keyed: impl Fn() -> I) -> Buckets
+    where
+        I: DoubleEndedIterator<Item = (usize, usize)>,
+    {
+        let mut start = vec![0u32; span + 1];
+        for (_, k) in keyed() {
+            start[k] += 1;
+        }
+        // Running totals: `start[k]` is where bucket `k` ends, and the
+        // backward walk below moves it to where the bucket begins.
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        let mut items = vec![0u32; total as usize];
+        for (i, k) in keyed().rev() {
+            start[k] -= 1;
+            items[start[k] as usize] = i as u32;
+        }
+        Buckets { start, items }
+    }
+
+    fn get(&self, k: usize) -> &[u32] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
     }
 }
 

@@ -192,7 +192,13 @@ mod tests {
         let mut b = GraphBuilder::new("t");
         let x = b.tensor("x", Shape::mat(64, 64), DType::Bf16, TensorKind::Input);
         let y = b
-            .node("tr", OpKind::Transpose { perm: vec![1, 0] }, &[x])
+            .node(
+                "tr",
+                OpKind::Transpose {
+                    perm: [1, 0].into(),
+                },
+                &[x],
+            )
             .unwrap();
         b.mark_output(y);
         let g = b.build().unwrap();

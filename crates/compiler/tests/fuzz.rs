@@ -77,7 +77,9 @@ fn build_graph(rows: usize, cols0: usize, steps: &[Step]) -> Graph {
                 cur = b
                     .node(
                         format!("tr{i}"),
-                        OpKind::Transpose { perm: vec![1, 0] },
+                        OpKind::Transpose {
+                            perm: [1, 0].into(),
+                        },
                         &[cur],
                     )
                     .expect("transpose builds");

@@ -10,11 +10,11 @@ use crate::op::{InputShapes, Node, OpKind};
 use crate::shape::Shape;
 use crate::tensor::{TensorDef, TensorId, TensorKind};
 use serde::{Deserialize, Serialize};
+use sn_arch::hash::FxBuildHasher;
 use sn_arch::{Bytes, Flops};
-use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::BuildHasher;
 
 /// Identifier of a node within one [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -198,11 +198,15 @@ impl Graph {
     /// wholly inside the subset stay in on-chip stage buffers and count
     /// zero (§III-A). `nodes` may come in any order but must be distinct.
     ///
-    /// Membership is one flag per node id between the subset's smallest
-    /// and largest member, so the cost is that span plus the edges of the
+    /// A one-node subset (every unfused kernel) is its node alone. A larger
+    /// one keeps one membership flag per node id between its smallest and
+    /// largest member, so the cost is that span plus the edges of the
     /// subset. A tensor read from outside counts once, at its first
     /// consumer inside the subset.
     pub fn subset_boundary_bytes(&self, nodes: &[NodeId]) -> Bytes {
+        if let &[only] = nodes {
+            return self.boundary_bytes(nodes, |n| n == only);
+        }
         let (Some(lo), Some(hi)) = (nodes.iter().min(), nodes.iter().max()) else {
             return Bytes::ZERO;
         };
@@ -210,18 +214,23 @@ impl Graph {
         for &n in nodes {
             flags[n.index() - lo.index()] = true;
         }
-        let inside = |n: NodeId| {
+        self.boundary_bytes(nodes, |n| {
             n.index()
                 .checked_sub(lo.index())
                 .and_then(|i| flags.get(i))
                 .is_some_and(|&f| f)
-        };
+        })
+    }
+
+    /// [`Graph::subset_boundary_bytes`] of `nodes`, whose members `inside`
+    /// tells.
+    fn boundary_bytes(&self, nodes: &[NodeId], inside: impl Fn(NodeId) -> bool) -> Bytes {
         let mut traffic = Bytes::ZERO;
         for &nid in nodes {
             let node = self.node(nid);
             for (i, &t) in node.inputs.iter().enumerate() {
                 let def = self.tensor(t);
-                if !def.is_offchip() || self.producer(t).is_some_and(inside) {
+                if !def.is_offchip() || self.producer(t).is_some_and(&inside) {
                     continue;
                 }
                 let first_reader = self.consumers(t).iter().copied().find(|&c| inside(c));
@@ -304,16 +313,18 @@ impl GraphBuilder {
     }
 
     /// `base` on its first use, `base#n` on its n-th. `owner` is where
-    /// the returned name is stored next.
-    fn unique_name(&mut self, base: &str, owner: NameOwner) -> String {
+    /// the returned name is stored next. A first use keeps an owned
+    /// `base` as it is.
+    fn unique_name(&mut self, base: impl AsRef<str> + Into<String>, owner: NameOwner) -> String {
         let (tensors, nodes) = (&self.tensors, &self.nodes);
-        let n = self.names.bump(base, owner, |o| match o {
+        let n = self.names.bump(base.as_ref(), owner, |o| match o {
             NameOwner::Tensor(i) => &tensors[i as usize].name,
             NameOwner::Node(i) => &nodes[i as usize].name,
         });
         if n == 1 {
-            return base.to_owned();
+            return base.into();
         }
+        let base = base.as_ref();
         let mut digits = [0u8; 10];
         let mut at = digits.len();
         let mut rest = n;
@@ -347,16 +358,17 @@ impl GraphBuilder {
     }
 
     /// Declares a source tensor (input, weight, metadata, KV cache, or
-    /// on-chip generated value).
+    /// on-chip generated value). An owned `name` is stored without a copy
+    /// when it is the name's first use.
     pub fn tensor(
         &mut self,
-        name: impl AsRef<str>,
+        name: impl AsRef<str> + Into<String>,
         shape: Shape,
         dtype: DType,
         kind: TensorKind,
     ) -> TensorId {
         let owner = NameOwner::Tensor(self.tensors.len() as u32);
-        let name = self.unique_name(name.as_ref(), owner);
+        let name = self.unique_name(name, owner);
         self.push_tensor(name, shape, dtype, kind)
     }
 
@@ -503,7 +515,9 @@ struct NameEntry {
 /// a copy of it: the first use of a name is stored verbatim as a tensor or
 /// node name, so an entry points at that owner and a probe compares against
 /// it. Open addressing with linear probing; the table is a power of two
-/// and at most half full.
+/// and at most half full. The table is internal and a probe compares the
+/// names themselves, so the cheap [`FxBuildHasher`] serves: the hash
+/// changes only where a name's slot lands, never which name comes back.
 #[derive(Debug, Clone, Default)]
 struct NameCounts {
     /// Index + 1 into `entries` per slot; 0 marks an empty slot.
@@ -524,7 +538,7 @@ impl NameCounts {
         if 2 * (self.entries.len() + 1) > self.slots.len() {
             self.grow();
         }
-        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(name);
+        let hash = FxBuildHasher::default().hash_one(name);
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -687,9 +701,13 @@ mod tests {
         let mut b = GraphBuilder::new("bad");
         let x = b.tensor("x", Shape::mat(16, 4), DType::Bf16, TensorKind::Input);
         for op in [
-            OpKind::Reshape { dims: vec![] },
-            OpKind::Reshape { dims: vec![16, 0] },
-            OpKind::Transpose { perm: vec![0, 0] },
+            OpKind::Reshape { dims: [].into() },
+            OpKind::Reshape {
+                dims: [16, 0].into(),
+            },
+            OpKind::Transpose {
+                perm: [0, 0].into(),
+            },
         ] {
             let err = b.node("bad", op, &[x]);
             assert!(matches!(err, Err(GraphError::Shape(_))), "{err:?}");

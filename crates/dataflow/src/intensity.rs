@@ -136,7 +136,13 @@ mod tests {
             .node("act", OpKind::Unary(UnaryKind::Gelu), &[g0])
             .unwrap();
         let t = b
-            .node("tr", OpKind::Transpose { perm: vec![1, 0] }, &[a])
+            .node(
+                "tr",
+                OpKind::Transpose {
+                    perm: [1, 0].into(),
+                },
+                &[a],
+            )
             .unwrap();
         let g1 = b
             .node("gemm1", OpKind::Gemm { transpose_b: false }, &[t, w1])

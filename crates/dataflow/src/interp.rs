@@ -142,7 +142,7 @@ impl Interpreter {
                     d
                 }
                 None => {
-                    let mut d = TensorData::zeros(def.shape.clone(), def.dtype);
+                    let mut d = TensorData::zeros(def.shape, def.dtype);
                     for (i, v) in d.values.iter_mut().enumerate() {
                         *v = synth_value(self.seed, t.index() as u32, i);
                     }
@@ -186,7 +186,7 @@ impl Interpreter {
         let node = graph.node(nid);
         let ins: Vec<&TensorData> = node.inputs.iter().map(|t| &env[t]).collect();
         let out_def = graph.tensor(node.output);
-        let out_shape = out_def.shape.clone();
+        let out_shape = out_def.shape;
         let out_dtype = out_def.dtype;
         match &node.op {
             OpKind::Gemm { transpose_b } | OpKind::SparseGemm { transpose_b, .. } => {
@@ -197,7 +197,7 @@ impl Interpreter {
             OpKind::Transpose { perm } => Ok(transpose(ins[0], perm)),
             OpKind::Reshape { dims } => {
                 let mut d = ins[0].clone();
-                d.shape = Shape::new(dims.clone());
+                d.shape = Shape::new(&dims[..]);
                 Ok(d)
             }
             OpKind::Softmax => Ok(rowwise(ins[0], |row| {
@@ -308,7 +308,7 @@ fn gemm(
 fn unary(u: UnaryKind, x: &TensorData, out_dtype: DType) -> TensorData {
     // Cast handles real<->complex; other unaries apply lane-wise.
     if u == UnaryKind::Cast {
-        let mut out = TensorData::zeros(x.shape.clone(), out_dtype);
+        let mut out = TensorData::zeros(x.shape, out_dtype);
         let out_complex = out.is_complex();
         for i in 0..x.shape.elements() as usize {
             let re = if x.is_complex() {
@@ -391,7 +391,7 @@ fn transpose(x: &TensorData, perm: &[usize]) -> TensorData {
     let in_dims = x.shape.dims().to_vec();
     let out_shape = x.shape.permute(perm);
     let lanes = TensorData::lanes(x.dtype);
-    let mut out = TensorData::zeros(out_shape.clone(), x.dtype);
+    let mut out = TensorData::zeros(out_shape, x.dtype);
     let rank = in_dims.len();
     let in_strides = strides(&in_dims);
     let out_dims = out_shape.dims().to_vec();
@@ -593,7 +593,13 @@ mod tests {
         let mut b = GraphBuilder::new("t");
         let x = b.tensor("x", Shape::mat(2, 3), DType::Fp32, TensorKind::Input);
         let y = b
-            .node("tr", OpKind::Transpose { perm: vec![1, 0] }, &[x])
+            .node(
+                "tr",
+                OpKind::Transpose {
+                    perm: [1, 0].into(),
+                },
+                &[x],
+            )
             .unwrap();
         b.mark_output(y);
         let g = b.build().unwrap();
@@ -606,17 +612,12 @@ mod tests {
     #[test]
     fn double_transpose_is_identity() {
         let mut b = GraphBuilder::new("t2");
-        let x = b.tensor(
-            "x",
-            Shape::new(vec![2, 3, 4]),
-            DType::Fp32,
-            TensorKind::Input,
-        );
+        let x = b.tensor("x", Shape::new([2, 3, 4]), DType::Fp32, TensorKind::Input);
         let t1 = b
             .node(
                 "a",
                 OpKind::Transpose {
-                    perm: vec![0, 2, 1],
+                    perm: [0, 2, 1].into(),
                 },
                 &[x],
             )
@@ -625,7 +626,7 @@ mod tests {
             .node(
                 "b",
                 OpKind::Transpose {
-                    perm: vec![0, 2, 1],
+                    perm: [0, 2, 1].into(),
                 },
                 &[t1],
             )
@@ -711,30 +712,14 @@ mod tests {
     #[test]
     fn kv_append_places_new_rows_at_tail() {
         let mut b = GraphBuilder::new("kv");
-        let cache = b.tensor(
-            "c",
-            Shape::new(vec![1, 4, 2]),
-            DType::Fp32,
-            TensorKind::KvCache,
-        );
-        let new = b.tensor(
-            "n",
-            Shape::new(vec![1, 1, 2]),
-            DType::Fp32,
-            TensorKind::Input,
-        );
+        let cache = b.tensor("c", Shape::new([1, 4, 2]), DType::Fp32, TensorKind::KvCache);
+        let new = b.tensor("n", Shape::new([1, 1, 2]), DType::Fp32, TensorKind::Input);
         let y = b.node("app", OpKind::KvAppend, &[cache, new]).unwrap();
         b.mark_output(y);
         let g = b.build().unwrap();
         let mut inputs = HashMap::new();
-        inputs.insert(
-            cache,
-            TensorData::new(Shape::new(vec![1, 4, 2]), vec![0.0; 8]),
-        );
-        inputs.insert(
-            new,
-            TensorData::new(Shape::new(vec![1, 1, 2]), vec![7.0, 8.0]),
-        );
+        inputs.insert(cache, TensorData::new(Shape::new([1, 4, 2]), vec![0.0; 8]));
+        inputs.insert(new, TensorData::new(Shape::new([1, 1, 2]), vec![7.0, 8.0]));
         let out = Interpreter::new(0).run_outputs(&g, &inputs).unwrap();
         assert_eq!(&out[0].values[6..8], &[7.0, 8.0]);
         assert_eq!(&out[0].values[..6], &[0.0; 6]);
@@ -744,16 +729,13 @@ mod tests {
     fn embedding_gathers_rows() {
         let mut b = GraphBuilder::new("e");
         let table = b.tensor("t", Shape::mat(4, 2), DType::Fp32, TensorKind::Weight);
-        let ids = b.tensor("i", Shape::new(vec![3]), DType::Int32, TensorKind::Input);
+        let ids = b.tensor("i", Shape::new([3]), DType::Int32, TensorKind::Input);
         let y = b.node("emb", OpKind::Embedding, &[table, ids]).unwrap();
         b.mark_output(y);
         let g = b.build().unwrap();
         let mut inputs = HashMap::new();
         inputs.insert(table, td(4, 2, vec![0., 1., 10., 11., 20., 21., 30., 31.]));
-        inputs.insert(
-            ids,
-            TensorData::new(Shape::new(vec![3]), vec![2.0, 0.0, 3.0]),
-        );
+        inputs.insert(ids, TensorData::new(Shape::new([3]), vec![2.0, 0.0, 3.0]));
         let out = Interpreter::new(0).run_outputs(&g, &inputs).unwrap();
         assert_eq!(out[0].values, vec![20., 21., 0., 1., 30., 31.]);
     }

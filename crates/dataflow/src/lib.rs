@@ -35,5 +35,5 @@ pub mod tensor;
 pub use dtype::DType;
 pub use graph::{Graph, GraphBuilder, GraphError, NodeId};
 pub use op::{AccessPattern, BinaryKind, InputShapes, Node, OpKind, ReduceKind, UnaryKind};
-pub use shape::Shape;
+pub use shape::{Dims, Shape, MAX_RANK};
 pub use tensor::{TensorDef, TensorId, TensorKind};

@@ -53,8 +53,8 @@ pub fn monarch_fig3() -> Graph {
 /// Panics if `groups` or `radix` is zero (via shape validation).
 pub fn monarch_fft(groups: usize, radix: usize) -> Graph {
     let mut b = GraphBuilder::new(format!("monarch-fft-{groups}x{radix}"));
-    let view = Shape::new(vec![groups, radix, radix]);
-    let x = b.tensor("X", view.clone(), DType::Bf16, TensorKind::Input);
+    let view = Shape::new([groups, radix, radix]);
+    let x = b.tensor("X", view, DType::Bf16, TensorKind::Input);
     let s1 = b.tensor(
         "S1",
         Shape::mat(radix, radix),
@@ -90,7 +90,7 @@ pub fn monarch_fft(groups: usize, radix: usize) -> Graph {
         .node(
             "transpose",
             OpKind::Transpose {
-                perm: vec![0, 2, 1],
+                perm: [0, 2, 1].into(),
             },
             &[tw],
         )
@@ -127,15 +127,10 @@ pub fn flash_fft_conv(batch: usize, radix: usize, levels: usize) -> Graph {
     assert!(levels >= 2, "monarch decomposition needs at least 2 levels");
     let seq_len: usize = radix.pow(levels as u32);
     let groups = batch * radix.pow(levels as u32 - 2);
-    let view = Shape::new(vec![groups, radix, radix]);
+    let view = Shape::new([groups, radix, radix]);
     let mut b = GraphBuilder::new(format!("flashfftconv-{}", batch * seq_len));
-    let x = b.tensor("X", view.clone(), DType::Bf16, TensorKind::Input);
-    let filter = b.tensor(
-        "filter_hat",
-        view.clone(),
-        DType::ComplexBf16,
-        TensorKind::Weight,
-    );
+    let x = b.tensor("X", view, DType::Bf16, TensorKind::Input);
+    let filter = b.tensor("filter_hat", view, DType::ComplexBf16, TensorKind::Weight);
     let mut cur = b
         .node_with_dtype(
             "to_complex",
@@ -163,7 +158,7 @@ pub fn flash_fft_conv(batch: usize, radix: usize, levels: usize) -> Graph {
             if level + 1 < levels {
                 let tw = b.tensor(
                     format!("{tag}_twiddle{level}"),
-                    view.clone(),
+                    view,
                     DType::ComplexBf16,
                     TensorKind::Generated,
                 );
@@ -178,7 +173,7 @@ pub fn flash_fft_conv(batch: usize, radix: usize, levels: usize) -> Graph {
                     .node(
                         format!("{tag}_transpose{level}"),
                         OpKind::Transpose {
-                            perm: vec![0, 2, 1],
+                            perm: [0, 2, 1].into(),
                         },
                         &[cur],
                     )

@@ -8,7 +8,7 @@
 //! read/write address patterns (§IV-B).
 
 use crate::dtype::DType;
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape, MAX_RANK};
 use crate::tensor::TensorId;
 use serde::{Deserialize, Serialize};
 use sn_arch::Flops;
@@ -130,10 +130,10 @@ pub enum OpKind {
     /// Pointwise binary function (operands broadcast if one is a vector).
     Binary(BinaryKind),
     /// Axis permutation.
-    Transpose { perm: Vec<usize> },
+    Transpose { perm: Dims },
     /// Element-preserving re-view (e.g. `[B*S, h*d] -> [B*h, S, d]`).
     /// Head regrouping is a genuine data reordering on both platforms.
-    Reshape { dims: Vec<usize> },
+    Reshape { dims: Dims },
     /// Row softmax over the innermost axis.
     Softmax,
     /// RMS normalization over the innermost axis (Llama-family).
@@ -232,19 +232,19 @@ impl OpKind {
                 if k != bk {
                     return Err(format!("gemm contraction mismatch: {a} x {b}"));
                 }
-                let mut dims = a.dims().to_vec();
-                *dims.last_mut().expect("non-empty") = n;
-                Ok(Shape::new(dims))
+                let mut out = *a;
+                *out.dims_mut().last_mut().expect("non-empty") = n;
+                Ok(out)
             }
             OpKind::Unary(_) | OpKind::Rope => {
                 arity(1)?;
-                Ok(inputs.shape(0).clone())
+                Ok(*inputs.shape(0))
             }
             OpKind::Binary(_) => {
                 arity(2)?;
                 let (a, b) = (inputs.shape(0), inputs.shape(1));
                 if a == b || b.elements() == 1 || b.elements() as usize == a.inner() {
-                    Ok(a.clone())
+                    Ok(*a)
                 } else {
                     Err(format!("binary shape mismatch: {a} vs {b}"))
                 }
@@ -252,12 +252,11 @@ impl OpKind {
             OpKind::Reshape { dims } => {
                 arity(1)?;
                 let source = inputs.shape(0);
-                if dims.is_empty() || dims.contains(&0) {
+                let Some(target) = Shape::from_dims(*dims) else {
                     return Err(format!(
                         "reshape {source} -> {dims:?}: empty or zero dimension"
                     ));
-                }
-                let target = Shape::new(dims.clone());
+                };
                 if target.elements() != source.elements() {
                     return Err(format!(
                         "reshape {source} -> {target} changes element count"
@@ -283,7 +282,7 @@ impl OpKind {
                 if inputs.count() == 0 {
                     return Err(format!("{self:?} needs at least one input"));
                 }
-                Ok(inputs.shape(0).clone())
+                Ok(*inputs.shape(0))
             }
             OpKind::Reduce(_) => {
                 arity(1)?;
@@ -291,7 +290,7 @@ impl OpKind {
                 if d.len() == 1 {
                     Ok(Shape::scalar())
                 } else {
-                    Ok(Shape::new(d[..d.len() - 1].to_vec()))
+                    Ok(Shape::new(&d[..d.len() - 1]))
                 }
             }
             OpKind::Embedding => {
@@ -300,52 +299,49 @@ impl OpKind {
                 if table.rank() != 2 {
                     return Err(format!("embedding table must be rank-2, got {table}"));
                 }
-                let mut dims = ids.dims().to_vec();
-                dims.push(table.dims()[1]);
-                Ok(Shape::new(dims))
+                ids.pushed(table.dims()[1]).ok_or_else(|| {
+                    format!("embedding of ids {ids} exceeds the rank cap of {MAX_RANK}")
+                })
             }
             OpKind::Slice { axis, parts, index } => {
                 arity(1)?;
-                let mut dims = inputs.shape(0).dims().to_vec();
-                if *axis >= dims.len() || *index >= *parts {
+                let mut out = *inputs.shape(0);
+                if *axis >= out.rank() || *index >= *parts {
                     return Err(format!("bad slice axis={axis} parts={parts} index={index}"));
                 }
-                if !dims[*axis].is_multiple_of(*parts) {
-                    return Err(format!(
-                        "axis {axis} of {} not divisible by {parts}",
-                        inputs.shape(0)
-                    ));
+                if !out.dims()[*axis].is_multiple_of(*parts) {
+                    return Err(format!("axis {axis} of {out} not divisible by {parts}"));
                 }
-                dims[*axis] /= parts;
-                Ok(Shape::new(dims))
+                out.dims_mut()[*axis] /= parts;
+                Ok(out)
             }
             OpKind::Concat { axis } => {
                 if inputs.count() == 0 {
                     return Err("concat needs at least one input".to_string());
                 }
-                let mut dims = inputs.shape(0).dims().to_vec();
-                if *axis >= dims.len() {
+                let mut out = *inputs.shape(0);
+                if *axis >= out.rank() {
                     return Err(format!("bad concat axis {axis}"));
                 }
                 for s in (1..inputs.count()).map(|i| inputs.shape(i)) {
-                    if s.rank() != dims.len() {
+                    if s.rank() != out.rank() {
                         return Err("concat rank mismatch".to_string());
                     }
-                    dims[*axis] += s.dims()[*axis];
+                    out.dims_mut()[*axis] += s.dims()[*axis];
                 }
-                Ok(Shape::new(dims))
+                Ok(out)
             }
             OpKind::KvAppend => {
                 arity(2)?;
                 // inputs: (cache, new rows); output has cache shape.
-                Ok(inputs.shape(0).clone())
+                Ok(*inputs.shape(0))
             }
             OpKind::AllReduce { participants } => {
                 if *participants == 0 {
                     return Err("allreduce needs at least one participant".to_string());
                 }
                 arity(1)?;
-                Ok(inputs.shape(0).clone())
+                Ok(*inputs.shape(0))
             }
         }
     }
@@ -450,7 +446,7 @@ mod tests {
     use super::*;
 
     fn s(dims: &[usize]) -> Shape {
-        Shape::new(dims.to_vec())
+        Shape::new(dims)
     }
 
     #[test]
@@ -552,7 +548,9 @@ mod tests {
 
     #[test]
     fn transpose_is_reorder_and_zero_flops() {
-        let op = OpKind::Transpose { perm: vec![1, 0] };
+        let op = OpKind::Transpose {
+            perm: [1, 0].into(),
+        };
         assert_eq!(op.access_pattern(), AccessPattern::Reorder);
         let a = s(&[4, 8]);
         let out = op.infer_shape(&[&a]).unwrap();
@@ -563,10 +561,12 @@ mod tests {
     #[test]
     fn reshape_preserves_elements() {
         let op = OpKind::Reshape {
-            dims: vec![4, 2, 8],
+            dims: [4, 2, 8].into(),
         };
         assert_eq!(op.infer_shape(&[&s(&[8, 8])]).unwrap(), s(&[4, 2, 8]));
-        let bad = OpKind::Reshape { dims: vec![4, 4] };
+        let bad = OpKind::Reshape {
+            dims: [4, 4].into(),
+        };
         assert!(bad.infer_shape(&[&s(&[8, 8])]).is_err());
         assert_eq!(op.access_pattern(), AccessPattern::Reorder);
     }
@@ -574,8 +574,10 @@ mod tests {
     #[test]
     fn reshape_to_empty_or_zero_dims_is_an_error() {
         let x = s(&[16, 4]);
-        for dims in [vec![], vec![16, 0], vec![0]] {
-            let op = OpKind::Reshape { dims };
+        for dims in [&[][..], &[16, 0], &[0]] {
+            let op = OpKind::Reshape {
+                dims: Dims::from_slice(dims).unwrap(),
+            };
             assert!(op.infer_shape(&[&x]).is_err(), "{op:?}");
         }
     }
@@ -583,11 +585,11 @@ mod tests {
     #[test]
     fn transpose_by_a_non_permutation_is_an_error() {
         let x = s(&[4, 8]);
-        for perm in [vec![0, 0], vec![1, 1], vec![0, 2]] {
-            let op = OpKind::Transpose { perm };
+        for perm in [[0, 0], [1, 1], [0, 2]] {
+            let op = OpKind::Transpose { perm: perm.into() };
             assert!(op.infer_shape(&[&x]).is_err(), "{op:?}");
         }
-        let wrong_rank = OpKind::Transpose { perm: vec![0] };
+        let wrong_rank = OpKind::Transpose { perm: [0].into() };
         assert!(wrong_rank.infer_shape(&[&x]).is_err());
     }
 

@@ -98,8 +98,8 @@ mod tests {
 
     #[test]
     fn bytes_scale_with_dtype() {
-        let s = Shape::new(vec![1024]);
-        let bf = TensorDef::new("a", s.clone(), DType::Bf16, TensorKind::Activation);
+        let s = Shape::new([1024]);
+        let bf = TensorDef::new("a", s, DType::Bf16, TensorKind::Activation);
         let fp = TensorDef::new("b", s, DType::Fp32, TensorKind::Activation);
         assert_eq!(bf.bytes(), Bytes::new(2048));
         assert_eq!(fp.bytes(), Bytes::new(4096));
@@ -116,7 +116,7 @@ mod tests {
     fn generated_tensors_are_not_offchip() {
         let t = TensorDef::new(
             "twiddle",
-            Shape::new(vec![64, 64]),
+            Shape::new([64, 64]),
             DType::ComplexBf16,
             TensorKind::Generated,
         );

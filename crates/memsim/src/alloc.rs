@@ -8,7 +8,9 @@
 
 use crate::tier::MemoryTier;
 use serde::{Deserialize, Serialize};
+use sn_arch::hash::FxBuildHasher;
 use sn_arch::Bytes;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -75,14 +77,32 @@ impl Error for AllocError {}
 ///
 /// Freed regions are coalesced with adjacent free space, so alternating
 /// allocation patterns (the LRU expert cache) do not fragment unboundedly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Only the free list is ordered. The live set is a hash map from offset
+/// to size, so recording an allocation and checking a free are O(1)
+/// whatever the number of live regions.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegionAllocator {
     tier: MemoryTier,
     capacity: Bytes,
     /// Sorted, non-adjacent free extents as (offset, size).
     free_list: Vec<(u64, u64)>,
-    /// Outstanding allocations as (offset, size), kept sorted by offset.
-    live: Vec<(u64, u64)>,
+    /// Outstanding allocations: size by offset.
+    live: HashMap<u64, u64, FxBuildHasher>,
+}
+
+/// Lists the live set sorted by offset, as `(offset, size)` pairs.
+impl fmt::Debug for RegionAllocator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut live: Vec<(u64, u64)> = self.live.iter().map(|(&o, &s)| (o, s)).collect();
+        live.sort_unstable();
+        f.debug_struct("RegionAllocator")
+            .field("tier", &self.tier)
+            .field("capacity", &self.capacity)
+            .field("free_list", &self.free_list)
+            .field("live", &live)
+            .finish()
+    }
 }
 
 impl RegionAllocator {
@@ -97,7 +117,7 @@ impl RegionAllocator {
             tier,
             capacity,
             free_list,
-            live: Vec::new(),
+            live: HashMap::default(),
         }
     }
 
@@ -156,8 +176,7 @@ impl RegionAllocator {
         } else {
             self.free_list[i] = (off + need, avail - need);
         }
-        let pos = self.live.partition_point(|&(o, _)| o < off);
-        self.live.insert(pos, (off, need));
+        self.live.insert(off, need);
         Ok(Region {
             tier: self.tier,
             offset: off,
@@ -175,14 +194,12 @@ impl RegionAllocator {
         if region.tier != self.tier {
             return Err(AllocError::UnknownRegion(region));
         }
-        // `live` is sorted by offset and live offsets are unique.
+        // Live offsets are unique: live regions never overlap.
         let (off, size) = (region.offset, region.size.as_u64());
-        match self.live.binary_search_by_key(&off, |&(o, _)| o) {
-            Ok(pos) if self.live[pos].1 == size => {
-                self.live.remove(pos);
-            }
+        match self.live.entry(off) {
+            Entry::Occupied(e) if *e.get() == size => e.remove(),
             _ => return Err(AllocError::UnknownRegion(region)),
-        }
+        };
         let i = self.free_list.partition_point(|&(o, _)| o < off);
         self.free_list.insert(i, (off, size));
         // Coalesce with successor, then predecessor.

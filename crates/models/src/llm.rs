@@ -147,7 +147,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn weight(&mut self, name: &str, rows: usize, cols: usize) -> TensorId {
+    fn weight(&mut self, name: String, rows: usize, cols: usize) -> TensorId {
         self.b.tensor(
             name,
             Shape::mat(rows, cols),
@@ -213,10 +213,10 @@ impl<'a> Builder<'a> {
         let s_q = self.phase.tokens_per_seq();
         let s_k = self.context();
 
-        let wq = self.weight(&format!("L{layer}.wq"), h, q_out);
-        let wk = self.weight(&format!("L{layer}.wk"), h, kv_out);
-        let wv = self.weight(&format!("L{layer}.wv"), h, kv_out);
-        let wo = self.weight(&format!("L{layer}.wo"), q_out, h);
+        let wq = self.weight(format!("L{layer}.wq"), h, q_out);
+        let wk = self.weight(format!("L{layer}.wk"), h, kv_out);
+        let wv = self.weight(format!("L{layer}.wv"), h, kv_out);
+        let wo = self.weight(format!("L{layer}.wo"), q_out, h);
 
         let mut q = self.gemm("q_proj", normed, wq)?;
         let mut k = self.gemm("k_proj", normed, wk)?;
@@ -230,7 +230,7 @@ impl<'a> Builder<'a> {
         let q3 = self.b.node(
             "q_heads",
             OpKind::Reshape {
-                dims: vec![bh, s_q, d],
+                dims: [bh, s_q, d].into(),
             },
             &[q],
         )?;
@@ -241,27 +241,27 @@ impl<'a> Builder<'a> {
                 let bkv = self.batch * self.kv_heads_t();
                 let k_cache = self.b.tensor(
                     format!("L{layer}.k_cache"),
-                    Shape::new(vec![bkv, s_k, d]),
+                    Shape::new([bkv, s_k, d]),
                     DType::Bf16,
                     TensorKind::KvCache,
                 );
                 let v_cache = self.b.tensor(
                     format!("L{layer}.v_cache"),
-                    Shape::new(vec![bkv, s_k, d]),
+                    Shape::new([bkv, s_k, d]),
                     DType::Bf16,
                     TensorKind::KvCache,
                 );
                 let k_new = self.b.node(
                     "k_rows",
                     OpKind::Reshape {
-                        dims: vec![bkv, s_q, d],
+                        dims: [bkv, s_q, d].into(),
                     },
                     &[k],
                 )?;
                 let v_new = self.b.node(
                     "v_rows",
                     OpKind::Reshape {
-                        dims: vec![bkv, s_q, d],
+                        dims: [bkv, s_q, d].into(),
                     },
                     &[v],
                 )?;
@@ -278,14 +278,14 @@ impl<'a> Builder<'a> {
                 let k3 = self.b.node(
                     "k_heads",
                     OpKind::Reshape {
-                        dims: vec![bkv, s_k, d],
+                        dims: [bkv, s_k, d].into(),
                     },
                     &[k],
                 )?;
                 let v3 = self.b.node(
                     "v_heads",
                     OpKind::Reshape {
-                        dims: vec![bkv, s_k, d],
+                        dims: [bkv, s_k, d].into(),
                     },
                     &[v],
                 )?;
@@ -297,7 +297,7 @@ impl<'a> Builder<'a> {
         let k_t = self.b.node(
             "k_t",
             OpKind::Transpose {
-                perm: vec![0, 2, 1],
+                perm: [0, 2, 1].into(),
             },
             &[k_exp],
         )?;
@@ -314,7 +314,7 @@ impl<'a> Builder<'a> {
         } else {
             let mask = self.b.tensor(
                 format!("L{layer}.mask"),
-                Shape::new(vec![bh, s_q, s_k]),
+                Shape::new([bh, s_q, s_k]),
                 DType::Bf16,
                 TensorKind::Generated,
             );
@@ -330,7 +330,7 @@ impl<'a> Builder<'a> {
         let merged = self.b.node(
             "merge_heads",
             OpKind::Reshape {
-                dims: vec![tokens, q_out],
+                dims: [tokens, q_out].into(),
             },
             &[ctx],
         )?;
@@ -356,7 +356,7 @@ impl<'a> Builder<'a> {
     ) -> Result<TensorId, GraphError> {
         let h = self.cfg.hidden;
         // Gate: score every expert, normalize.
-        let wg = self.weight(&format!("L{layer}.moe_gate"), h, moe.experts);
+        let wg = self.weight(format!("L{layer}.moe_gate"), h, moe.experts);
         let scores = self.gemm("moe_gate", normed, wg)?;
         let _probs = self.b.node("moe_softmax", OpKind::Softmax, &[scores])?;
         // Statically model the top-k activated experts: each token runs
@@ -388,9 +388,9 @@ impl<'a> Builder<'a> {
         let inter_t = (self.cfg.intermediate / self.tp).max(1);
         match self.cfg.activation {
             Activation::SwiGlu => {
-                let wg = self.weight(&format!("{prefix}.w_gate"), h, inter_t);
-                let wu = self.weight(&format!("{prefix}.w_up"), h, inter_t);
-                let wd = self.weight(&format!("{prefix}.w_down"), inter_t, h);
+                let wg = self.weight(format!("{prefix}.w_gate"), h, inter_t);
+                let wu = self.weight(format!("{prefix}.w_up"), h, inter_t);
+                let wd = self.weight(format!("{prefix}.w_down"), inter_t, h);
                 let gate = self.gemm("gate_proj", normed, wg)?;
                 let act = self
                     .b
@@ -402,8 +402,8 @@ impl<'a> Builder<'a> {
                 self.gemm("down_proj", mixed, wd)
             }
             Activation::Gelu => {
-                let wu = self.weight(&format!("{prefix}.w_up"), h, inter_t);
-                let wd = self.weight(&format!("{prefix}.w_down"), inter_t, h);
+                let wu = self.weight(format!("{prefix}.w_up"), h, inter_t);
+                let wd = self.weight(format!("{prefix}.w_down"), inter_t, h);
                 let up = self.gemm("up_proj", normed, wu)?;
                 let act = self.b.node("gelu", OpKind::Unary(UnaryKind::Gelu), &[up])?;
                 self.gemm("down_proj", act, wd)
@@ -455,31 +455,39 @@ impl<'a> Builder<'a> {
         let tokens = self.tokens();
         let mut d = d_out;
         // dX through the MLP down/up/gate projections.
-        let wd = self.weight(&format!("L{layer}.w_down.g"), inter_t, h);
+        let wd = self.weight(format!("L{layer}.w_down.g"), inter_t, h);
         let d_mid = self
             .b
             .node("d_down", OpKind::Gemm { transpose_b: true }, &[d, wd])?;
-        let x_t = self
-            .b
-            .node("x_t", OpKind::Transpose { perm: vec![1, 0] }, &[d_mid])?;
+        let x_t = self.b.node(
+            "x_t",
+            OpKind::Transpose {
+                perm: [1, 0].into(),
+            },
+            &[d_mid],
+        )?;
         let _dw_down = self
             .b
             .node("dw_down", OpKind::Gemm { transpose_b: false }, &[x_t, d])?;
         let d_act = self
             .b
             .node("d_silu", OpKind::Binary(BinaryKind::Mul), &[d_mid, d_mid])?;
-        let wu = self.weight(&format!("L{layer}.w_up.g"), h, inter_t);
+        let wu = self.weight(format!("L{layer}.w_up.g"), h, inter_t);
         let d_up = self
             .b
             .node("d_up", OpKind::Gemm { transpose_b: true }, &[d_act, wu])?;
-        let up_t = self
-            .b
-            .node("up_t", OpKind::Transpose { perm: vec![1, 0] }, &[d_act])?;
+        let up_t = self.b.node(
+            "up_t",
+            OpKind::Transpose {
+                perm: [1, 0].into(),
+            },
+            &[d_act],
+        )?;
         let _dw_up = self
             .b
             .node("dw_up", OpKind::Gemm { transpose_b: false }, &[up_t, d_act])?;
         if self.cfg.activation == Activation::SwiGlu {
-            let wg = self.weight(&format!("L{layer}.w_gate.g"), h, inter_t);
+            let wg = self.weight(format!("L{layer}.w_gate.g"), h, inter_t);
             let d_gate = self
                 .b
                 .node("d_gate", OpKind::Gemm { transpose_b: true }, &[d_act, wg])?;
@@ -497,13 +505,17 @@ impl<'a> Builder<'a> {
             .b
             .node("d_norm_red", OpKind::Reduce(ReduceKind::Sum), &[d_norm])?;
         // Attention backward: gradients through O, context, scores, QKV.
-        let wo = self.weight(&format!("L{layer}.wo.g"), q_out, h);
+        let wo = self.weight(format!("L{layer}.wo.g"), q_out, h);
         let d_attn = self
             .b
             .node("d_o", OpKind::Gemm { transpose_b: true }, &[d, wo])?;
-        let attn_t = self
-            .b
-            .node("attn_t", OpKind::Transpose { perm: vec![1, 0] }, &[d_attn])?;
+        let attn_t = self.b.node(
+            "attn_t",
+            OpKind::Transpose {
+                perm: [1, 0].into(),
+            },
+            &[d_attn],
+        )?;
         let _dw_o = self
             .b
             .node("dw_o", OpKind::Gemm { transpose_b: false }, &[attn_t, d])?;
@@ -512,13 +524,17 @@ impl<'a> Builder<'a> {
             OpKind::Binary(BinaryKind::Mul),
             &[d_attn, d_attn],
         )?;
-        let wq = self.weight(&format!("L{layer}.wq.g"), h, q_out);
+        let wq = self.weight(format!("L{layer}.wq.g"), h, q_out);
         let d_q = self
             .b
             .node("d_q", OpKind::Gemm { transpose_b: true }, &[d_soft, wq])?;
-        let q_t = self
-            .b
-            .node("q_t", OpKind::Transpose { perm: vec![1, 0] }, &[d_soft])?;
+        let q_t = self.b.node(
+            "q_t",
+            OpKind::Transpose {
+                perm: [1, 0].into(),
+            },
+            &[d_soft],
+        )?;
         let _dw_q = self
             .b
             .node("dw_q", OpKind::Gemm { transpose_b: false }, &[q_t, d_soft])?;
@@ -540,7 +556,7 @@ impl<'a> Builder<'a> {
         self.b.set_region(0);
         let ids = self.b.tensor(
             "token_ids",
-            Shape::new(vec![tokens]),
+            Shape::new([tokens]),
             DType::Int32,
             TensorKind::Input,
         );
@@ -554,7 +570,7 @@ impl<'a> Builder<'a> {
         let emb = self.b.node(
             "embed_view",
             OpKind::Reshape {
-                dims: vec![tokens, h],
+                dims: [tokens, h].into(),
             },
             &[emb],
         )?;

@@ -382,8 +382,8 @@ fn compare(
     for pass in [FusionPolicy::Unfused, FusionPolicy::Spatial] {
         let got = fusion::partition(graph, pass, &model);
         let want = ref_partition(graph, pass, &model);
-        let partition = match (got, want) {
-            (Ok(got), Ok(want)) if got == want => got,
+        let (partition, resources) = match (got, want) {
+            (Ok((got, resources)), Ok(want)) if got == want => (got, resources),
             (Err(sn_compiler::CompileError::OperatorTooLarge { node, .. }), Err(want))
                 if node == want =>
             {
@@ -395,7 +395,15 @@ fn compare(
             .windows(2)
             .filter(|w| graph.node(w[0][w[0].len() - 1]).region == graph.node(w[1][0]).region)
             .count();
-        let kernels = build_kernels(graph, partition, &model);
+        let kernels = build_kernels(graph, partition, &resources);
+        // Kernel resources are summed from fusion's per-node table; the
+        // reference re-folds the model over each kernel's nodes.
+        if let Some(k) = kernels
+            .iter()
+            .find(|k| k.resources != model.kernel_resources(graph, &k.nodes))
+        {
+            return Err(format!("{pass:?}: kernel {} resources differ", k.name));
+        }
         let plan = memplan::plan_with_policy(graph, &kernels, socket, policy);
         let (placements, hbm_peak, spilled) = ref_plan(graph, &kernels, socket, policy);
         if plan.placements() != placements.as_slice() {
@@ -592,7 +600,7 @@ fn build_named_graph(case: &CompilerCase, names: &mut Namer) -> Graph {
                             _ => {
                                 let t = b.tensor(
                                     names.tensor("meta"),
-                                    Shape::new(vec![width]),
+                                    Shape::new([width]),
                                     DType::Bf16,
                                     kind,
                                 );
@@ -600,12 +608,7 @@ fn build_named_graph(case: &CompilerCase, names: &mut Namer) -> Graph {
                                 t
                             }
                         },
-                        _ => b.tensor(
-                            names.tensor("bias"),
-                            Shape::new(vec![width]),
-                            DType::Bf16,
-                            kind,
-                        ),
+                        _ => b.tensor(names.tensor("bias"), Shape::new([width]), DType::Bf16, kind),
                     };
                     b.node(
                         names.node("bias"),
@@ -621,7 +624,7 @@ fn build_named_graph(case: &CompilerCase, names: &mut Namer) -> Graph {
                 Step::KvAppend { past } => {
                     let cache = b.tensor(
                         names.tensor("kv"),
-                        Shape::new(vec![1, past, width]),
+                        Shape::new([1, past, width]),
                         DType::Bf16,
                         TensorKind::KvCache,
                     );
@@ -629,7 +632,7 @@ fn build_named_graph(case: &CompilerCase, names: &mut Namer) -> Graph {
                         .node(
                             names.node("kv_rows"),
                             OpKind::Reshape {
-                                dims: vec![1, case.rows, width],
+                                dims: [1, case.rows, width].into(),
                             },
                             &[cur],
                         )
@@ -943,7 +946,9 @@ fn run_facts_case(case: &FactsCase, seen: &mut Seen) -> Result<(), String> {
 
     let mut rng = CaseRng::new(case.subsets);
     let model = ResourceModel::new(&SocketSpec::sn40l());
-    let kernels = fusion::partition(&graph, FusionPolicy::Spatial, &model).unwrap_or_default();
+    let kernels = fusion::partition(&graph, FusionPolicy::Spatial, &model)
+        .map(|(kernels, _)| kernels)
+        .unwrap_or_default();
     let all: Vec<NodeId> = graph.node_ids().collect();
     let drawn = (0..SUBSETS_PER_CASE).map(|_| draw_subset(&mut rng, &all));
     for subset in kernels.into_iter().chain(drawn) {

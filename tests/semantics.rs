@@ -54,7 +54,7 @@ fn different_token_ids_change_the_logits() {
         inputs.insert(
             ids,
             samba_coe::dataflow::interp::TensorData {
-                shape: Shape::new(vec![8]),
+                shape: Shape::new([8]),
                 dtype: DType::Int32,
                 values,
             },
