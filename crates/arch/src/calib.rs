@@ -7,10 +7,9 @@
 //! model auditable and lets benches run sensitivity sweeps.
 
 use crate::units::TimeSecs;
-use serde::{Deserialize, Serialize};
 
 /// Who sequences kernel launches (§IV-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Orchestration {
     /// The host runtime issues Program Load / Argument Load / Kernel
     /// Execute per kernel: flexible and visible, but each launch pays a
@@ -22,7 +21,7 @@ pub enum Orchestration {
 }
 
 /// Tunable constants of the performance model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Host-side dispatch cost per kernel under *software-orchestrated*
     /// launches (§IV-D): driver call, argument marshalling, and the

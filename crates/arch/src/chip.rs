@@ -7,14 +7,13 @@
 //! aggregates are met exactly; each such choice is documented on the field.
 
 use crate::units::{Bandwidth, Bytes, FlopRate, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Pattern Compute Unit description (§IV-A).
 ///
 /// A PCU's body is configurable as an output-stationary systolic array or as
 /// a pipelined SIMD core; the tail performs transcendental and conversion
 /// operations fused with the body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcuSpec {
     /// Rows of the systolic array (MACs along one side).
     pub systolic_rows: usize,
@@ -82,7 +81,7 @@ impl PcuSpec {
 }
 
 /// Pattern Memory Unit description (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmuSpec {
     /// Scratchpad capacity of one PMU. 520 MiB / 1040 PMUs = 512 KiB.
     pub scratchpad: Bytes,
@@ -140,7 +139,7 @@ impl PmuSpec {
 }
 
 /// Address Generation and Coalescing Unit description (§IV-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgcuSpec {
     /// Concurrent outstanding DMA streams one AGCU can sustain.
     pub dma_streams: usize,
@@ -173,7 +172,7 @@ impl AgcuSpec {
 ///
 /// The RDN is a 2-D mesh (§IV); PCUs and PMUs alternate in a checkerboard
 /// with AGCUs on the periphery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileGeometry {
     /// Mesh rows of compute/memory units.
     pub rows: usize,
@@ -192,7 +191,7 @@ impl TileGeometry {
 
 /// Whole-chip RDU description: a socket contains `dies` identical dies, each
 /// carrying one tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduChipSpec {
     /// Human-readable generation name ("SN40L", "SN10").
     pub name: String,

@@ -6,10 +6,9 @@
 //! cited by the paper (its references 17, 18, 20, and 21).
 
 use crate::units::{Bandwidth, Bytes, FlopRate, TimeSecs};
-use serde::{Deserialize, Serialize};
 
 /// One GPU's roofline-relevant characteristics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     pub name: String,
     /// Peak dense BF16 tensor-core throughput.
@@ -82,7 +81,7 @@ impl GpuSpec {
 }
 
 /// A DGX node: eight GPUs, NVLink, and host DRAM that overflows experts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DgxSpec {
     pub name: String,
     pub gpu: GpuSpec,

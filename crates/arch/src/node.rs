@@ -4,10 +4,9 @@
 use crate::roofline::Roofline;
 use crate::socket::SocketSpec;
 use crate::units::{Bandwidth, Bytes, FlopRate};
-use serde::{Deserialize, Serialize};
 
 /// A multi-socket RDU node with a host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     pub name: String,
     pub socket: SocketSpec,

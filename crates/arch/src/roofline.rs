@@ -6,17 +6,16 @@
 //! first-class API used by the compiler's estimates and by examples.
 
 use crate::units::{Bandwidth, FlopRate};
-use serde::{Deserialize, Serialize};
 
 /// A machine's roofline: a compute ceiling and a memory-bandwidth slope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     pub peak: FlopRate,
     pub bandwidth: Bandwidth,
 }
 
 /// Which side of the balance point a kernel sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     MemoryBound,
     ComputeBound,

@@ -3,10 +3,9 @@
 
 use crate::chip::RduChipSpec;
 use crate::units::{Bandwidth, Bytes, FlopRate};
-use serde::{Deserialize, Serialize};
 
 /// Co-packaged high-bandwidth memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmSpec {
     pub capacity: Bytes,
     /// Peak pin bandwidth.
@@ -25,7 +24,7 @@ impl HbmSpec {
 }
 
 /// Directly attached DDR DRAM tier (pluggable DIMMs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrSpec {
     pub capacity: Bytes,
     /// Peak interface bandwidth.
@@ -44,7 +43,7 @@ impl DdrSpec {
 }
 
 /// One SN40L socket: the chip plus HBM, DDR, host link, and P2P links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocketSpec {
     pub chip: RduChipSpec,
     pub hbm: HbmSpec,

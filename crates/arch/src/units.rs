@@ -6,7 +6,6 @@
 //! yields [`TimeSecs`], `Flops / FlopRate` yields [`TimeSecs`], and
 //! `Cycles / Frequency` yields [`TimeSecs`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let hbm = Bytes::from_gib(64);
 /// assert_eq!(hbm.as_u64(), 64 * 1024 * 1024 * 1024);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -180,7 +177,7 @@ impl fmt::Display for Bytes {
 /// let t = Bytes::from_gb(13.5) / hbm;
 /// assert!((t.as_secs() - 0.00675).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -288,7 +285,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// Simulated wall-clock time in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TimeSecs(f64);
 
 impl TimeSecs {
@@ -402,7 +399,7 @@ impl fmt::Display for TimeSecs {
 }
 
 /// A count of floating-point operations (work, not rate).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Flops(f64);
 
 impl Flops {
@@ -506,7 +503,7 @@ impl fmt::Display for Flops {
 }
 
 /// A floating-point throughput in FLOPs per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct FlopRate(f64);
 
 impl FlopRate {
@@ -585,9 +582,7 @@ impl fmt::Display for FlopRate {
 }
 
 /// A clock-cycle count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -657,7 +652,7 @@ impl fmt::Display for Cycles {
 }
 
 /// A clock frequency in hertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Frequency(f64);
 
 impl Frequency {

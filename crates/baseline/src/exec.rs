@@ -7,12 +7,11 @@
 //! makes unfusable decode graphs slow even on very fast HBM.
 
 use crate::partition::gpu_partition;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, DgxSpec, TimeSecs};
 use sn_dataflow::{Graph, OpKind};
 
 /// Kernel launch mechanism to credit the baseline with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchMode {
     /// Stream launches from the host (one driver call per kernel).
     Standard,
@@ -22,7 +21,7 @@ pub enum LaunchMode {
 }
 
 /// Timing breakdown for one graph execution on a DGX.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuReport {
     pub total: TimeSecs,
     pub exec: TimeSecs,

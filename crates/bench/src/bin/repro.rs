@@ -2,22 +2,26 @@
 //!
 //! ```text
 //! repro [--jobs N] [table1|table2|fig1|fig10|fig11|fig12|fig13|table3|ablations|--faults|all]
-//! repro [--jobs N] [--time] serve
+//! repro serve
 //! repro [--jobs N] tenants
 //! repro [--jobs N] placement
 //! repro [--jobs N] [--obs out.json] obs
 //! repro intra
+//! repro [--jobs N] [--time] grid
 //! repro --trace [out.json]
 //! repro --profile
 //! repro [--jobs N] --bench-json <out.json>
 //! repro [--jobs N] --bench-check <baseline.json> [current.json]
 //! ```
 //!
-//! `--jobs N` fans independent sweep points across N worker threads via
-//! the deterministic ordered-merge engine (`sn_bench::par`); the default
-//! is the host's available parallelism and `--jobs 1` forces the legacy
-//! sequential path. Output is byte-identical for every N. `--time` adds
-//! wall-clock lines (1 job vs N jobs) to the serve sweep.
+//! `--jobs N` fans independent sweep points (Figure 10/11 benchmarks,
+//! fault, tenant, placement, obs and grid sweeps, bench-snapshot runs)
+//! across N worker threads via the deterministic ordered-merge engine
+//! (`sn_bench::par`); the default is the host's available parallelism
+//! and `--jobs 1` forces the sequential path. Output is byte-identical
+//! for every N. The serve sweep always runs sequentially: its points are
+//! too small to pay for a worker thread. `--time` adds the grid's
+//! wall-clock line.
 //!
 //! `intra` times one large cluster point (16 nodes, 480 experts,
 //! 4096-slot waves) on the sequential wave loop and prints its
@@ -124,13 +128,13 @@ fn fig1() {
     }
 }
 
-fn fig10() {
+fn fig10(jobs: usize) {
     hr("FIGURE 10: Speedup over unfused baseline (8 SN40L sockets)");
     println!(
         "{:<28} {:>12} {:>12} {:>12} {:>10} {:>10}",
         "Benchmark", "Unfused+SO", "Fused+SO", "Fused+HO", "SO spdup", "HO spdup"
     );
-    for r in experiments::fig10() {
+    for r in experiments::fig10(jobs) {
         println!(
             "{:<28} {:>12} {:>12} {:>12} {:>9.2}x {:>9.2}x",
             r.name,
@@ -145,10 +149,10 @@ fn fig10() {
     println!(" 1.4x-8x on decode, <=1.1x on prefill/train)");
 }
 
-fn fig11() {
+fn fig11(jobs: usize) {
     hr("FIGURE 11: Kernel-call ratio, unfused / fused");
     println!("{:<28} {:>10}", "Benchmark", "Ratio");
-    for (name, ratio) in experiments::fig11() {
+    for (name, ratio) in experiments::fig11(jobs) {
         println!("{name:<28} {ratio:>9.1}x");
     }
     println!("(paper example: llama7B-4k-inf-prefill = 11x)");
@@ -235,7 +239,7 @@ fn extensions() {
     }
 }
 
-fn run_serve(jobs: usize, timed: bool) {
+fn run_serve() {
     use sn_bench::serve;
     hr(&format!(
         "ONLINE SERVING: Poisson offered-load sweep ({} experts, {} requests, \
@@ -248,9 +252,7 @@ fn run_serve(jobs: usize, timed: bool) {
         "{:<10} {:>10} {:>7} {:>12} {:>12} {:>12} {:>12} {:>10}",
         "Offered", "Delivered", "Waves", "Queue p95", "TTFT p95", "Lat p50", "Lat p95", "Tokens/s"
     );
-    let wall = std::time::Instant::now();
-    let points = serve::serve_sweep_jobs(jobs);
-    let par_ms = wall.elapsed().as_secs_f64() * 1e3;
+    let points = serve::serve_sweep();
     for p in &points {
         println!(
             "{:<10} {:>10} {:>7} {:>12} {:>12} {:>12} {:>12} {:>10.1}",
@@ -270,21 +272,6 @@ fn run_serve(jobs: usize, timed: bool) {
              arrival process, sets the pace"
         ),
         None => println!("\nno saturation inside the sweep: every offered rate was absorbed"),
-    }
-    if timed {
-        // Self-timing harness: re-run the sweep on the legacy sequential
-        // path and report the speedup. Printed only under --time so the
-        // plain `serve` output stays byte-identical across --jobs values.
-        let wall = std::time::Instant::now();
-        let seq = serve::serve_sweep_jobs(1);
-        let seq_ms = wall.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(seq, points, "parallel sweep must match the legacy path");
-        println!(
-            "\nsweep wall-clock: {seq_ms:.1} ms at 1 job, {par_ms:.1} ms at {jobs} job(s) \
-             ({:.2}x speedup, {} host cores)",
-            seq_ms / par_ms.max(1e-9),
-            sn_bench::par::available_jobs(),
-        );
     }
 }
 
@@ -671,30 +658,7 @@ fn run_bench_json(path: &str, jobs: usize) {
     let mut snap = sn_bench::profile::bench_snapshot_jobs(jobs);
     let elapsed_ms = wall.elapsed().as_secs_f64() * 1e3;
     snap.push_info("simulator_wall_clock_ms", &format!("{elapsed_ms:.1}"));
-    // Sweep wall-clock, legacy path vs the requested fan-out. Info
-    // entries are recorded but never compared, so timing noise cannot
-    // trip the bench gate.
-    let wall = std::time::Instant::now();
-    let seq_points = sn_bench::serve::serve_sweep_jobs(1);
-    let seq_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let wall = std::time::Instant::now();
-    let par_points = sn_bench::serve::serve_sweep_jobs(jobs);
-    let par_ms = wall.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        seq_points, par_points,
-        "parallel sweep must match the legacy path"
-    );
-    snap.push_info("serve_sweep_jobs", &jobs.to_string());
     snap.push_info("host_cores", &sn_bench::par::available_jobs().to_string());
-    snap.push_info("serve_sweep_wall_ms_1job", &format!("{seq_ms:.1}"));
-    snap.push_info(
-        &format!("serve_sweep_wall_ms_{jobs}jobs"),
-        &format!("{par_ms:.1}"),
-    );
-    snap.push_info(
-        "serve_sweep_speedup",
-        &format!("{:.2}", seq_ms / par_ms.max(1e-9)),
-    );
     // Large-cluster wave timing: wall-clock stays in info rows
     // (recorded, never compared) like every other timing figure.
     let intra = sn_bench::intra::intra_point();
@@ -827,15 +791,15 @@ fn main() {
         "table1" => table1(),
         "table2" => table2(),
         "fig1" => fig1(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
+        "fig10" => fig10(jobs),
+        "fig11" => fig11(jobs),
         "fig12" => fig12(),
         "fig13" => fig13(),
         "table3" => table3(),
         "ablations" => run_ablations(),
         "extensions" => extensions(),
         "faults" | "--faults" => run_faults(jobs),
-        "serve" | "--serve" => run_serve(jobs, timed),
+        "serve" | "--serve" => run_serve(),
         "tenants" | "--tenants" => run_tenants(jobs),
         "placement" | "--placement" => run_placement(jobs),
         "obs" => run_obs(jobs, obs_export.as_deref()),
@@ -845,14 +809,14 @@ fn main() {
             table1();
             table2();
             fig1();
-            fig10();
-            fig11();
+            fig10(jobs);
+            fig11(jobs);
             fig12();
             fig13();
             table3();
             extensions();
             run_faults(jobs);
-            run_serve(jobs, timed);
+            run_serve();
             run_tenants(jobs);
             run_placement(jobs);
             run_obs(jobs, obs_export.as_deref());

@@ -78,50 +78,38 @@ pub struct Fig10Row {
 
 /// Figure 10: speedups over the unfused baseline for every Table II
 /// benchmark, software- and hardware-orchestrated. Benchmarks compile and
-/// evaluate concurrently (the suite spans 17 workloads up to 176B
-/// parameters).
-pub fn fig10() -> Vec<Fig10Row> {
+/// evaluate across `jobs` worker threads (the suite spans 17 workloads up
+/// to 176B parameters); the rows are identical for every `jobs` value.
+pub fn fig10(jobs: usize) -> Vec<Fig10Row> {
     let calib = Calibration::baseline();
     let compiler = Compiler::new(SocketSpec::sn40l(), calib.clone());
     let node = NodeExecutor::new(NodeSpec::sn40l_node(), calib);
-    let benches = table2();
-    let mut rows: Vec<Option<Fig10Row>> = (0..benches.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (slot, b) in rows.iter_mut().zip(&benches) {
-            let compiler = &compiler;
-            let node = &node;
-            scope.spawn(move |_| {
-                let graph = b.build_graph();
-                let unfused = compiler
-                    .compile(&graph, FusionPolicy::Unfused)
-                    .expect("benchmarks compile unfused");
-                let fused = compiler
-                    .compile(&graph, FusionPolicy::Spatial)
-                    .expect("benchmarks compile fused");
-                let unfused_so = node.run(&unfused, Orchestration::Software).total;
-                let fused_so = node.run(&fused, Orchestration::Software).total;
-                let fused_ho = node.run(&fused, Orchestration::Hardware).total;
-                *slot = Some(Fig10Row {
-                    name: b.name.clone(),
-                    unfused_so,
-                    fused_so,
-                    fused_ho,
-                    fusion_speedup: unfused_so / fused_so,
-                    ho_speedup: unfused_so / fused_ho,
-                    kernel_ratio: unfused.kernel_count() as f64 / fused.kernel_count() as f64,
-                });
-            });
+    crate::par::ordered_map(jobs, &table2(), |_, b| {
+        let graph = b.build_graph();
+        let unfused = compiler
+            .compile(&graph, FusionPolicy::Unfused)
+            .expect("benchmarks compile unfused");
+        let fused = compiler
+            .compile(&graph, FusionPolicy::Spatial)
+            .expect("benchmarks compile fused");
+        let unfused_so = node.run(&unfused, Orchestration::Software).total;
+        let fused_so = node.run(&fused, Orchestration::Software).total;
+        let fused_ho = node.run(&fused, Orchestration::Hardware).total;
+        Fig10Row {
+            name: b.name.clone(),
+            unfused_so,
+            fused_so,
+            fused_ho,
+            fusion_speedup: unfused_so / fused_so,
+            ho_speedup: unfused_so / fused_ho,
+            kernel_ratio: unfused.kernel_count() as f64 / fused.kernel_count() as f64,
         }
     })
-    .expect("benchmark threads do not panic");
-    rows.into_iter()
-        .map(|r| r.expect("every benchmark filled its slot"))
-        .collect()
 }
 
 /// Figure 11: the kernel-call ratios (projection of [`fig10`]).
-pub fn fig11() -> Vec<(String, f64)> {
-    fig10()
+pub fn fig11(jobs: usize) -> Vec<(String, f64)> {
+    fig10(jobs)
         .into_iter()
         .map(|r| (r.name, r.kernel_ratio))
         .collect()

@@ -1,9 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each function in [`experiments`] computes the data series behind one
-//! exhibit; the `repro` binary formats them, and the Criterion benches
-//! under `benches/` time the underlying library operations. Ablations for
-//! the design choices called out in DESIGN.md live in [`ablations`].
+//! exhibit, and the `repro` binary formats them. Ablations for the design
+//! choices called out in DESIGN.md live in [`ablations`].
 
 pub mod ablations;
 pub mod experiments;

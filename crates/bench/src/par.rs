@@ -2,9 +2,9 @@
 //! points out across worker threads while keeping the output vector
 //! bit-identical to the sequential loop.
 //!
-//! Every sweep in this crate — the `repro serve` offered-load sweep, the
-//! `--faults` degradation curves, the bench-snapshot metric runs, and
-//! the property-harness case batches in `tests/common` — evaluates a
+//! Every sweep in this crate — the Figure 10 benchmarks, the `--faults`
+//! degradation curves, the bench-snapshot metric runs, and the
+//! property-harness case batches in `tests/common` — evaluates a
 //! pure function per point: each point builds its own node, draws from
 //! its own seeded RNG stream, and shares no mutable state with its
 //! neighbours. That makes the fan-out contract simple and strong:
@@ -16,18 +16,17 @@
 //! scheduler: workers claim the next unclaimed *input index* from a
 //! shared counter (no per-worker deques, no stealing, so the set of
 //! points a run evaluates never depends on timing), evaluate the point,
-//! and park the result in that index's dedicated slot. The merge is by
-//! slot index, so the output order is the input order no matter which
-//! worker finished first. Scheduling order can vary run to run; the
-//! output cannot, because each slot's value is a pure function of its
-//! input alone.
+//! and keep the `(index, result)` pair. Each worker hands its pairs back
+//! through its join handle, and the merge sorts them by index, so the
+//! output order is the input order no matter which worker finished
+//! first. Scheduling order can vary run to run; the output cannot,
+//! because each result is a pure function of its input alone.
 //!
 //! `jobs <= 1` (or a single-item input) short-circuits to the plain
 //! sequential `for` loop — the legacy path `repro --jobs 1` forces —
 //! so the differential tests in `crates/bench/tests/par_diff.rs` can
 //! compare the two paths exactly.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker threads to use by default: the host's available parallelism,
@@ -45,9 +44,9 @@ pub fn available_jobs() -> usize {
 ///
 /// `jobs` is clamped to `[1, items.len()]`; `jobs <= 1` runs the
 /// sequential loop on the calling thread with no thread machinery at
-/// all. A panic in any worker propagates to the caller (the scoped
-/// spawn re-raises it), so failing sweep points fail the run just like
-/// the sequential loop would.
+/// all. A panic in any worker propagates to the caller (the join
+/// re-raises its payload), so failing sweep points fail the run just
+/// like the sequential loop would.
 pub fn ordered_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -60,27 +59,31 @@ where
         // engine existed, and the reference the parallel path must match.
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    // One result slot per input index: the ordered merge is "read the
-    // slots in index order", independent of completion order.
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                *slots[i].lock() = Some(result);
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every claimed slot is filled"))
-        .collect()
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut pairs = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break pairs;
+                        }
+                        pairs.push((i, f(i, &items[i])));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    // The ordered merge: every index was claimed exactly once, so sorting
+    // the pairs by index restores input order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

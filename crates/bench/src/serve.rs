@@ -66,23 +66,13 @@ pub struct ServeSweepPoint {
 ///
 /// Panics when `rate_rps` is not positive (arrival-process contract).
 pub fn serve_point(rate_rps: f64) -> ServeSweepPoint {
-    serve_point_seeded(SWEEP_SEED, rate_rps)
-}
-
-/// [`serve_point`] with an explicit arrival seed — the differential
-/// tests sweep several seeds to show parallel/sequential bit-identity
-/// is not an artifact of one lucky arrival pattern.
-///
-/// # Panics
-///
-/// Panics when `rate_rps` is not positive (arrival-process contract).
-pub fn serve_point_seeded(seed: u64, rate_rps: f64) -> ServeSweepPoint {
     let mut node = SambaCoeNode::new(
         NodeSpec::sn40l_node(),
         ExpertLibrary::new(SWEEP_EXPERTS),
         PROMPT_TOKENS,
     );
-    let requests = ArrivalProcess::poisson(seed, PROMPT_TOKENS, rate_rps).generate(SWEEP_REQUESTS);
+    let requests =
+        ArrivalProcess::poisson(SWEEP_SEED, PROMPT_TOKENS, rate_rps).generate(SWEEP_REQUESTS);
     let out = node.serve_online(
         &requests,
         OUTPUT_TOKENS,
@@ -107,21 +97,11 @@ pub fn serve_point_seeded(seed: u64, rate_rps: f64) -> ServeSweepPoint {
     }
 }
 
-/// The full offered-load sweep over [`SWEEP_RATES`].
+/// The full offered-load sweep over [`SWEEP_RATES`], run sequentially:
+/// each point takes about a tenth of a millisecond, less than handing it
+/// to a worker thread costs.
 pub fn serve_sweep() -> Vec<ServeSweepPoint> {
-    serve_sweep_jobs(1)
-}
-
-/// [`serve_sweep`] fanned across `jobs` worker threads via the
-/// ordered-merge engine. Bit-identical to `serve_sweep()` for every
-/// `jobs` value: each point builds its own node and arrival stream.
-pub fn serve_sweep_jobs(jobs: usize) -> Vec<ServeSweepPoint> {
-    serve_sweep_seeded_jobs(SWEEP_SEED, jobs)
-}
-
-/// [`serve_sweep_jobs`] with an explicit arrival seed.
-pub fn serve_sweep_seeded_jobs(seed: u64, jobs: usize) -> Vec<ServeSweepPoint> {
-    crate::par::ordered_map(jobs, SWEEP_RATES, |_, &r| serve_point_seeded(seed, r))
+    SWEEP_RATES.iter().map(|&r| serve_point(r)).collect()
 }
 
 /// The saturation knee: the first offered rate whose delivered

@@ -1,41 +1,14 @@
 //! Differential tests for the deterministic parallel sweep engine: the
 //! parallel path must return the *bit-identical* ordered output of the
-//! sequential path for every sweep the `repro` binary fans out — the
-//! serve offered-load sweep (across several arrival seeds), both fault
-//! sweeps, and the full bench snapshot. These are the enforcement teeth
+//! sequential path — both fault sweeps, the tenant and obs sweeps, and
+//! the full bench snapshot. These are the enforcement teeth
 //! of the `sn_bench::par` contract; if a sweep point ever grows hidden
 //! shared state, these fail before any user sees a jobs-dependent
 //! report.
 
 use sn_bench::faults::{cluster_fault_sweep_jobs, node_fault_sweep_jobs};
 use sn_bench::profile::bench_snapshot_jobs;
-use sn_bench::serve::{serve_sweep_jobs, serve_sweep_seeded_jobs, SWEEP_SEED};
 use sn_bench::tenants::{tenants_sweep_jobs, tenants_sweep_seeded_jobs};
-
-#[test]
-fn serve_sweep_parallel_is_bit_identical_to_sequential() {
-    let sequential = serve_sweep_jobs(1);
-    for jobs in [2, 4] {
-        assert_eq!(
-            sequential,
-            serve_sweep_jobs(jobs),
-            "serve sweep diverged at {jobs} jobs"
-        );
-    }
-}
-
-#[test]
-fn serve_sweep_parity_holds_across_arrival_seeds() {
-    // Bit-identity must not be an artifact of the default seed's arrival
-    // pattern: light and heavy congestion regimes both have to agree.
-    for seed in [SWEEP_SEED, 1, 0xdead_beef] {
-        assert_eq!(
-            serve_sweep_seeded_jobs(seed, 1),
-            serve_sweep_seeded_jobs(seed, 4),
-            "serve sweep diverged for seed {seed:#x}"
-        );
-    }
-}
 
 #[test]
 fn fault_sweeps_parallel_are_bit_identical_to_sequential() {

@@ -65,16 +65,37 @@ fn serve_report_is_byte_identical_across_jobs() {
 }
 
 #[test]
-fn timed_serve_prints_the_wall_clock_comparison() {
+fn fig10_and_fig11_are_byte_identical_across_jobs() {
+    for mode in ["fig10", "fig11"] {
+        let run = |jobs: &str| {
+            let out = repro()
+                .args(["--jobs", jobs, mode])
+                .output()
+                .expect("repro binary runs");
+            assert_eq!(out.status.code(), Some(0), "{mode} --jobs {jobs} succeeds");
+            out.stdout
+        };
+        let sequential = run("1");
+        assert!(!sequential.is_empty(), "{mode} prints its table");
+        assert_eq!(
+            sequential,
+            run("2"),
+            "{mode} output must not depend on --jobs"
+        );
+    }
+}
+
+#[test]
+fn timed_grid_prints_its_wall_clock() {
     let out = repro()
-        .args(["--jobs", "2", "--time", "serve"])
+        .args(["--jobs", "2", "--time", "grid"])
         .output()
         .expect("repro binary runs");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("sweep wall-clock:") && stdout.contains("at 1 job"),
-        "--time adds the 1-job vs N-jobs timing line: {stdout}"
+        stdout.contains("grid wall-clock") && stdout.contains("at 2 jobs"),
+        "--time adds the grid's wall-clock line: {stdout}"
     );
 }
 

@@ -56,12 +56,11 @@
 //! assert_eq!(ctl.evaluate(3), ScaleDecision::Hold); // cooldown holds
 //! ```
 
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use sn_profile::{BatchObservation, MachineProfile, SloConfig, SloSnapshot, SloTracker};
 
 /// Watermarks and damping for the capacity controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// The cluster never shrinks below this many healthy nodes.
     pub min_nodes: usize,
@@ -80,7 +79,7 @@ pub struct AutoscaleConfig {
 }
 
 /// What the controller wants done to the cluster right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Capacity is fine (or the controller is in cooldown / undecided).
     Hold,
@@ -91,7 +90,7 @@ pub enum ScaleDecision {
 }
 
 /// One applied capacity action, recorded by the serving engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Wave index at which the action was applied.
     pub wave: usize,

@@ -9,7 +9,6 @@
 use crate::expert::ExpertLibrary;
 use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, NodeSpec, Orchestration, TimeSecs};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, RetryPolicy};
 use sn_memsim::dma::{DmaEngine, Route};
@@ -20,7 +19,7 @@ use sn_trace::{ArgValue, Counter, MetricsReport, Tracer, Track};
 use std::sync::Arc;
 
 /// Result of one batch served by the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Wall time of the batch: the busiest node (nodes run concurrently).
     pub latency: TimeSecs,
@@ -103,7 +102,7 @@ pub struct WaveSlot {
 }
 
 /// Where one wave slot ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WavePlacement {
     /// The slot executed on `node`; offsets are from the wave start.
     Served {
@@ -121,7 +120,7 @@ pub enum WavePlacement {
 }
 
 /// Result of one wave served by [`CoeCluster::serve_wave`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaveOutcome {
     /// Wall time of the wave: the busiest node.
     pub latency: TimeSecs,
@@ -151,7 +150,7 @@ pub struct WaveOutcome {
 /// Result of a topology change ([`CoeCluster::drain_node`] or
 /// [`CoeCluster::rebalance_experts`]): how many experts moved and the
 /// DDR transfer time the moves cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceReport {
     /// Experts whose DDR home changed (weights copied to the new home).
     pub moved_experts: usize,
@@ -1323,7 +1322,7 @@ impl CoeCluster {
 }
 
 /// Result of one prefetch boundary ([`CoeCluster::prefetch_experts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchOutcome {
     /// Speculative loads actually issued (non-resident candidates).
     pub issued: u64,
@@ -1337,7 +1336,7 @@ pub struct PrefetchOutcome {
 }
 
 /// Result of applying a placement plan ([`CoeCluster::apply_placement`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementOutcome {
     /// Hot-expert replicas created.
     pub replicated: u64,

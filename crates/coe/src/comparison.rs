@@ -8,14 +8,13 @@
 //! available for weights).
 
 use crate::programs::{expert_graph, expert_phases, ExpertPrograms};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, DgxSpec, NodeSpec, Orchestration, TimeSecs};
 use sn_baseline::{GpuExecutor, LaunchMode};
 use sn_models::TransformerConfig;
 use sn_runtime::executor::NodeExecutor;
 
 /// The three platforms of §VI-B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     Sn40l,
     DgxA100,
@@ -35,7 +34,7 @@ impl Platform {
 }
 
 /// Per-request latency breakdown (the Figure 1 decomposition).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     pub router: TimeSecs,
     pub switching: TimeSecs,

@@ -6,12 +6,11 @@
 //! not.
 
 use crate::router::Domain;
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use sn_models::TransformerConfig;
 
 /// One expert's metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpertInfo {
     pub name: String,
     pub domain: Domain,

@@ -8,7 +8,6 @@
 //! operating points, for latency planning over arbitrary generation
 //! lengths.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Calibration, NodeSpec, Orchestration, TimeSecs};
 use sn_baseline::{GpuExecutor, LaunchMode};
 use sn_compiler::{Compiler, FusionPolicy};
@@ -16,7 +15,7 @@ use sn_models::{build, Phase, TransformerConfig};
 use sn_runtime::executor::NodeExecutor;
 
 /// Linear decode-step cost model plus a prefill cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationModel {
     /// Prefill time per prompt token (amortized).
     pub prefill_per_token: TimeSecs,

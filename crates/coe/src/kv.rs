@@ -50,12 +50,11 @@
 //! assert_eq!(stats.pages_in, stats.pages_resident + stats.pages_evicted);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Page geometry and the HBM budget the cache may occupy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PagedKvConfig {
     /// Context tokens per page.
     pub page_tokens: usize,
@@ -80,7 +79,7 @@ impl Default for PagedKvConfig {
 }
 
 /// What one [`PagedKvCache::touch`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvTouch {
     /// Brand-new pages allocated (context grew past a page boundary).
     pub allocated: u64,
@@ -94,7 +93,7 @@ pub struct KvTouch {
 /// Cumulative cache statistics; the conservation identity
 /// `pages_in == pages_resident + pages_evicted` holds after every
 /// operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvStats {
     /// Pages that ever entered HBM (allocations plus refaults).
     pub pages_in: u64,

@@ -45,7 +45,6 @@
 //! ```
 
 use crate::kv::{KvStats, PagedKvCache, PagedKvConfig};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, TimeSecs};
 
 /// Online router statistics, observed once per served wave.
@@ -204,7 +203,7 @@ impl ExpertStats {
 }
 
 /// Issues speculative DDR→HBM loads at wave boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchPolicy {
     /// Minimum predicted-hit probability before a prefetch is worth its
     /// bandwidth. Set above 1.0 to force every prediction cold (the
@@ -294,7 +293,7 @@ impl PlacementPlan {
 /// Replicates hot experts across nodes and spreads cold ones, driven by
 /// observed router statistics instead of the cluster's uniform
 /// round-robin heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementPolicy {
     /// Presence EWMA above which an expert is "hot" enough to replicate.
     pub hot_threshold: f64,
@@ -401,7 +400,7 @@ impl PlacementPolicy {
 }
 
 /// Knobs for a [`ServingPolicies`] bundle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// EWMA smoothing factor for [`ExpertStats`].
     pub ewma_alpha: f64,
@@ -432,7 +431,7 @@ impl Default for PolicyConfig {
 /// Everything the policy layer did during a serve, for reports and
 /// sweeps. Conservation: `kv_pages_in == resident + kv_pages_evicted`
 /// (see [`crate::kv`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyReport {
     /// Speculative loads issued.
     pub prefetch_issued: u64,

@@ -7,13 +7,12 @@
 //! router-model run — and (b) a routing *distribution* over experts,
 //! which drives switching behavior.
 
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Task domains the experts specialize in (§II names coding, math, and
 /// language translation among others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     Coding,
     Math,
@@ -58,7 +57,7 @@ impl Domain {
 }
 
 /// One inference request.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Prompt {
     pub id: u64,
     pub domain: Domain,
@@ -114,7 +113,7 @@ const ID_CLASSES: usize = 16;
 /// space is 10 domains × 16 id classes. [`Router::new`] hashes each of
 /// those 160 keys once; [`Router::route`] reads the stored hash and
 /// reduces it modulo the library size on every call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Router {
     /// `hashes[domain * 16 + class]`: the `DefaultHasher` digest of
     /// `(seed, domain, class)`, with `domain` in [`Domain::ALL`] order.

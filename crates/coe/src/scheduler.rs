@@ -56,7 +56,6 @@ use crate::router::{Prompt, PromptGenerator};
 use crate::serving::{SambaCoeNode, ServeReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use sn_faults::{FaultDecision, FaultSite, Recovery};
 use sn_runtime::coe::CoeError;
@@ -68,7 +67,7 @@ use std::collections::{HashSet, VecDeque};
 const ARRIVAL_STREAM_SALT: u64 = 0xa221_7a1b_57ae_a09d;
 
 /// One request in flight toward the node: a prompt plus its arrival time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineRequest {
     /// The prompt to serve.
     pub prompt: Prompt,
@@ -77,7 +76,7 @@ pub struct OnlineRequest {
 }
 
 /// Shape of the arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
     /// Every request arrives at t = 0 — the offline whole-batch case.
     Burst,
@@ -109,7 +108,7 @@ pub enum ArrivalPattern {
 /// assert_eq!(a, b, "seed-stable");
 /// assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalProcess {
     seed: u64,
     prompt_tokens: usize,
@@ -194,7 +193,7 @@ impl ArrivalProcess {
 }
 
 /// Admission-queue tuning for [`SambaCoeNode::serve_online`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Maximum requests decoding concurrently. Arrived requests beyond
     /// the cap wait in the queue until a decode slot frees up. Zero is
@@ -227,7 +226,7 @@ impl Default for SchedulerConfig {
 
 /// Completion record of one online request — the per-request quantities
 /// an operator's dashboard is built from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Prompt id.
     pub id: u64,
@@ -267,7 +266,7 @@ impl RequestRecord {
 /// Result of one online serving run: the aggregate [`ServeReport`]
 /// (assembled with `serve_batch`'s exact arithmetic) plus per-request
 /// completion records and scheduler-level aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineReport {
     /// Aggregate latency breakdown across all admission waves. On a
     /// single t = 0 burst with unbounded admission this is bit-identical

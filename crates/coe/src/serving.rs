@@ -10,7 +10,6 @@
 use crate::expert::ExpertLibrary;
 use crate::programs::ExpertPrograms;
 use crate::router::{Prompt, Router};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, Flops, NodeSpec, Orchestration, TimeSecs};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, Recovery, RetryPolicy};
 use sn_profile::{
@@ -23,7 +22,7 @@ use sn_trace::{ArgValue, Counter, Metric, MetricsReport, Tracer, Track};
 use std::sync::Arc;
 
 /// Latency breakdown of one served batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Router prefill plus classification decode steps.
     pub router: TimeSecs,

@@ -70,7 +70,6 @@ use crate::autoscale::{AutoscaleController, ScaleDecision, ScaleEvent};
 use crate::cluster::{CoeCluster, WavePlacement, WaveSlot};
 use crate::router::Prompt;
 use crate::scheduler::{ArrivalPattern, ArrivalProcess};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, TimeSecs};
 use sn_faults::{ChaosEventKind, ChaosSchedule, FaultDecision, FaultSite};
 use sn_obs::Obs;
@@ -80,7 +79,7 @@ use sn_trace::Counter;
 use std::collections::VecDeque;
 
 /// Service class a tenant's traffic belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SloClass {
     /// Latency-sensitive: admitted first, preempts batch, short chunks.
     Interactive,
@@ -99,7 +98,7 @@ impl SloClass {
 }
 
 /// Token-bucket rate limit for one tenant, in requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimit {
     /// Bucket capacity: the burst a tenant may land at once.
     pub burst: f64,
@@ -141,7 +140,7 @@ pub struct TenantSpec {
 }
 
 /// Per-class queueing and SLO policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassPolicy {
     /// Bounded queue depth; arrivals beyond it shed as
     /// [`ShedReason::QueueFull`] (backpressure).
@@ -158,7 +157,7 @@ pub struct ClassPolicy {
 }
 
 /// Tenancy-engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenancyConfig {
     /// Seed for every per-tenant arrival/prompt stream.
     pub seed: u64,
@@ -227,7 +226,7 @@ pub struct TenantRequest {
 }
 
 /// Why a request was shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedReason {
     /// The tenant's token bucket was empty at arrival.
     RateLimited,
@@ -253,7 +252,7 @@ impl ShedReason {
 }
 
 /// A shed request: a first-class outcome, not a silent drop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedRecord {
     /// Tenant index.
     pub tenant: usize,
@@ -273,7 +272,7 @@ pub struct ShedRecord {
 }
 
 /// A completed request's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantRecord {
     /// Tenant index.
     pub tenant: usize,
@@ -313,7 +312,7 @@ impl TenantRecord {
 }
 
 /// Per-tenant roll-up for tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// Tenant name.
     pub name: String,
@@ -335,7 +334,7 @@ pub struct TenantSummary {
 /// tracked report fields stay bit-identical with or without consumers.
 /// No library code reads them back; they stay because they are part of
 /// the report, whose `Debug` rendering hostbench digests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveFeature {
     /// Wave index (0-based).
     pub wave: usize,
@@ -368,7 +367,7 @@ pub struct WaveFeature {
 }
 
 /// Result of a multi-tenant serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenancyReport {
     /// Completed requests, in completion order.
     pub records: Vec<TenantRecord>,

@@ -9,10 +9,9 @@
 use crate::router::{Domain, Prompt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Trace parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Zipf exponent over domains: 0.0 is uniform; ~1.0 is web-like skew.
     pub skew: f64,

@@ -9,7 +9,6 @@
 
 use crate::estimate::KernelEstimate;
 use crate::executable::Kernel;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, SocketSpec};
 use sn_dataflow::{Graph, OpKind};
 
@@ -26,7 +25,7 @@ pub fn stream_capacity(socket: &SocketSpec) -> usize {
 }
 
 /// The stream plan for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamPlan {
     /// Average off-chip bandwidth the kernel must sustain to meet its
     /// static time estimate.

@@ -9,12 +9,11 @@
 use crate::executable::Kernel;
 use crate::fusion::FusionPolicy;
 use crate::resources::{tile_count, TILE_ROWS};
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Calibration, Flops, SocketSpec, TimeSecs};
 use sn_dataflow::{Graph, OpKind};
 
 /// What limits a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// PCU throughput bound (high operational intensity).
     Compute,
@@ -25,7 +24,7 @@ pub enum Bound {
 }
 
 /// The static model's verdict for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelEstimate {
     /// Execution time, excluding launch overhead.
     pub time: TimeSecs,

@@ -4,7 +4,6 @@ use crate::estimate::KernelEstimate;
 use crate::fusion::FusionPolicy;
 use crate::memplan::MemoryPlan;
 use crate::resources::KernelResources;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Flops, TimeSecs};
 use sn_dataflow::intensity::KernelPartition;
 use sn_dataflow::{Graph, NodeId};
@@ -12,7 +11,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Identifier of a kernel within one executable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(pub u32);
 
 impl KernelId {
@@ -22,7 +21,7 @@ impl KernelId {
 }
 
 /// One compiled kernel: a set of graph nodes mapped onto the tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     pub id: KernelId,
     pub name: String,
@@ -89,7 +88,7 @@ pub fn build_kernels(
 }
 
 /// A compiled program: kernels, their time estimates, and the memory plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Executable {
     name: String,
     policy: FusionPolicy,

@@ -10,12 +10,11 @@
 
 use crate::resources::{KernelResources, ResourceModel};
 use crate::CompileError;
-use serde::{Deserialize, Serialize};
 use sn_dataflow::intensity::KernelPartition;
 use sn_dataflow::{Graph, NodeId};
 
 /// How aggressively to fuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionPolicy {
     /// One kernel per operator, intermediates materialized off-chip —
     /// the paper's "Unfused" baseline configuration (§VI-A).

@@ -8,7 +8,6 @@
 //! size* (bytes x uses) to DDR — weights, being hot, stay in HBM while
 //! activations spill first.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, SocketSpec};
 use sn_dataflow::{Graph, TensorId, TensorKind};
 use sn_memsim::{MemoryTier, Region, RegionAllocator};
@@ -22,7 +21,7 @@ use crate::executable::Kernel;
 const PERSISTENT_REUSE: u64 = 16;
 
 /// How to choose spill victims when HBM does not fit (§V-A ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpillPolicy {
     /// The paper's policy: activations before weights, smallest aggregate
     /// transfer size first.
@@ -35,7 +34,7 @@ pub enum SpillPolicy {
 }
 
 /// Where one symbol lives and why.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SymbolPlacement {
     pub tensor: TensorId,
     pub tier: MemoryTier,
@@ -52,7 +51,7 @@ pub struct SymbolPlacement {
 }
 
 /// The memory plan for one compiled executable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
     placements: Vec<SymbolPlacement>,
     hbm_peak: Bytes,

@@ -8,13 +8,12 @@
 //! versus the SN40L per-link MPLS scheme (§IV-E).
 
 use crate::executable::Kernel;
-use serde::{Deserialize, Serialize};
 use sn_arch::TileGeometry;
 use sn_dataflow::Graph;
 use std::collections::HashMap;
 
 /// Result of placing one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementReport {
     /// Mesh positions used (PCU gangs + PMU buffers).
     pub positions_used: usize,

@@ -8,7 +8,6 @@
 //! buffers for capacity and bandwidth, and reorder operators consume no
 //! PCUs at all — they become PMU read/write access patterns (§IV-B).
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, SocketSpec};
 use sn_dataflow::{AccessPattern, Graph, NodeId};
 
@@ -24,7 +23,7 @@ pub const TILE_ROWS: usize = 128;
 const UNIT_BUDGET_FRACTION: f64 = 0.92;
 
 /// Resource needs of one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelResources {
     pub pcus: usize,
     pub pmus: usize,

@@ -2,11 +2,10 @@
 //! BF16, INT32 in the SIMD stages, plus INT8 and complex BF16 for the FFT
 //! workloads).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An element type carried on dataflow edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 16-bit brain floating point — the native GEMM type of the SN40L.
     Bf16,

@@ -9,7 +9,6 @@ use crate::dtype::DType;
 use crate::op::{InputShapes, Node, OpKind};
 use crate::shape::Shape;
 use crate::tensor::{TensorDef, TensorId, TensorKind};
-use serde::{Deserialize, Serialize};
 use sn_arch::hash::FxBuildHasher;
 use sn_arch::{Bytes, Flops};
 use std::error::Error;
@@ -17,7 +16,7 @@ use std::fmt;
 use std::hash::BuildHasher;
 
 /// Identifier of a node within one [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -56,7 +55,7 @@ impl fmt::Display for GraphError {
 impl Error for GraphError {}
 
 /// An immutable dataflow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     name: String,
     tensors: Vec<TensorDef>,

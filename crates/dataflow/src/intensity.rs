@@ -9,7 +9,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::op::AccessPattern;
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use std::collections::HashMap;
 
@@ -18,7 +17,7 @@ use std::collections::HashMap;
 pub type KernelPartition = Vec<Vec<NodeId>>;
 
 /// The three fusion levels of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionLevel {
     /// Every operator is its own kernel.
     None,

@@ -10,12 +10,11 @@
 use crate::dtype::DType;
 use crate::shape::{Dims, Shape, MAX_RANK};
 use crate::tensor::TensorId;
-use serde::{Deserialize, Serialize};
 use sn_arch::Flops;
 use std::fmt;
 
 /// Pointwise unary functions executed in PCU SIMD stages or the tail unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryKind {
     /// SiLU / swish activation.
     Silu,
@@ -45,7 +44,7 @@ impl UnaryKind {
 }
 
 /// Pointwise binary functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryKind {
     Add,
     Sub,
@@ -55,7 +54,7 @@ pub enum BinaryKind {
 }
 
 /// Reductions over the innermost axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceKind {
     Sum,
     Max,
@@ -64,7 +63,7 @@ pub enum ReduceKind {
 
 /// How an operator touches memory, from the point of view of a conventional
 /// (GPU) fusion engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Purely elementwise streaming; always fusable everywhere.
     Streaming,
@@ -117,7 +116,7 @@ impl<const N: usize> InputShapes for [&Shape; N] {
 }
 
 /// An operator with its static parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// Dense matrix multiply: `A [.., m, k] x B [k, n] -> [.., m, n]`.
     /// With `transpose_b`, `B` is `[n, k]`.
@@ -427,7 +426,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A node in the dataflow graph: one operator application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     pub name: String,
     pub op: OpKind,

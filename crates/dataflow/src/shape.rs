@@ -1,6 +1,5 @@
 //! Tensor shapes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -24,7 +23,7 @@ pub const MAX_RANK: usize = 4;
 /// assert_eq!(&perm[..], &[1, 0]);
 /// assert!(Dims::from_slice(&[1; 5]).is_none(), "past the rank cap");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Dims {
     len: u8,
     /// Entries past `len` stay zero, so the derived equality compares
@@ -99,7 +98,7 @@ impl Hash for Dims {
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(format!("{s:?}"), "Shape([8, 4096, 128])");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape(Dims);
 
 impl Shape {

@@ -5,13 +5,12 @@
 use crate::graph::Graph;
 use crate::op::AccessPattern;
 use crate::tensor::TensorKind;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Flops};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A profile of one graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     pub name: String,
     pub nodes: usize,

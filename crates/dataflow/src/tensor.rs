@@ -2,12 +2,11 @@
 
 use crate::dtype::DType;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use std::fmt;
 
 /// Identifier of a tensor within one [`crate::Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TensorId(pub(crate) u32);
 
 impl TensorId {
@@ -25,7 +24,7 @@ impl fmt::Display for TensorId {
 /// The role a tensor plays; drives memory placement decisions (§V-A: weights
 /// get priority to stay in HBM, activations spill first) and the runtime's
 /// read-only copy-back elision (§V-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorKind {
     /// Model parameter, read-only at inference time.
     Weight,
@@ -56,7 +55,7 @@ impl TensorKind {
 }
 
 /// A tensor declaration inside a graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TensorDef {
     pub name: String,
     pub shape: Shape,

@@ -17,12 +17,11 @@
 //! [`ChaosSchedule::events`] itself, so runs stay byte-reproducible.
 
 use crate::plan::{unit_draw, FaultDecision, FaultSite, FaultSpec};
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fault spec that is live only inside `[start, end)` of model time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// The operation site the windowed spec applies to.
     pub site: FaultSite,
@@ -43,7 +42,7 @@ impl FaultWindow {
 
 /// A correlated outage: `nodes` crash together at `start`; with an `end`
 /// they are restored together, without one they stay down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeOutage {
     /// Crashed node indices (stored sorted and deduplicated).
     pub nodes: Vec<usize>,
@@ -54,7 +53,7 @@ pub struct NodeOutage {
 }
 
 /// What happens to one node at one instant of a chaos timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEventKind {
     /// The node goes down.
     Crash,
@@ -63,7 +62,7 @@ pub enum ChaosEventKind {
 }
 
 /// One entry of the flattened, time-ordered chaos timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
     /// When the event fires (model time).
     pub at: TimeSecs,

@@ -1,13 +1,12 @@
 //! Seeded per-site fault schedules.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An operation site where the stack consults the fault plan.
 ///
 /// Each site owns an independent deterministic draw stream: injecting
 /// faults at one site never perturbs the decisions another site sees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A DMA transfer between memory tiers (`sn-memsim`'s `DmaEngine`).
     DmaTransfer,
@@ -52,7 +51,7 @@ impl FaultSite {
 }
 
 /// Fault probabilities for one site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Probability an operation fails outright (corrupt load, dropped
     /// socket, dead node) and must be retried or failed over.
@@ -149,7 +148,7 @@ pub enum FaultDecision {
 }
 
 /// Per-site draw statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Operations that consulted this site.
     pub draws: u64,
@@ -160,7 +159,7 @@ pub struct SiteStats {
 }
 
 /// Statistics across all sites, in [`FaultSite::ALL`] order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     pub per_site: [SiteStats; 5],
 }

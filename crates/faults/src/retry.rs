@@ -1,12 +1,11 @@
 //! Bounded retries with exponential backoff, accounted in model time.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 
 /// Retry budget applied to a faultable phase (expert switching, model
 /// execution, routing). All times are simulated: backoff is charged into
 /// the serving report's recovery component, not slept.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt (0 = fail fast).
     pub max_retries: u32,
@@ -103,7 +102,7 @@ impl Default for RetryPolicy {
 }
 
 /// Time and attempts lost to faults before an operation succeeded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Recovery {
     /// Wasted attempt time plus backoff, in model time.
     pub time: TimeSecs,

@@ -7,7 +7,6 @@
 //! per *active* expert.
 
 use crate::tier::MemoryTier;
-use serde::{Deserialize, Serialize};
 use sn_arch::hash::FxBuildHasher;
 use sn_arch::Bytes;
 use std::collections::hash_map::{Entry, HashMap};
@@ -15,7 +14,7 @@ use std::error::Error;
 use std::fmt;
 
 /// A contiguous allocation inside one tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
     pub tier: MemoryTier,
     /// Byte offset of the region base within the tier.
@@ -81,7 +80,7 @@ impl Error for AllocError {}
 /// Only the free list is ordered. The live set is a hash map from offset
 /// to size, so recording an allocation and checking a free are O(1)
 /// whatever the number of live regions.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct RegionAllocator {
     tier: MemoryTier,
     capacity: Bytes,

@@ -7,11 +7,10 @@
 //! the building block for modeling batched expert activations and
 //! concurrent spill traffic.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, Bytes, TimeSecs};
 
 /// One transfer request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferReq {
     /// When the transfer becomes ready.
     pub start: TimeSecs,
@@ -33,7 +32,7 @@ impl TransferReq {
 }
 
 /// Equal-share arbitration over a fixed-capacity link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthArbiter {
     capacity: Bandwidth,
 }

@@ -3,14 +3,13 @@
 
 use crate::alloc::{AllocError, Region, RegionAllocator};
 use crate::tier::MemoryTier;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, SocketSpec};
 
 /// The software-managed memory of one socket (SRAM is managed by the
 /// compiler's place-and-route, not by this dynamic allocator, so only HBM
 /// and DDR appear here; a host-DRAM allocator is included for baselines and
 /// worst-case spill modeling).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceMemory {
     hbm: RegionAllocator,
     ddr: RegionAllocator,

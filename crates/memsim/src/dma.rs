@@ -6,18 +6,16 @@
 //! (e.g. Figure 1's model-switch bytes).
 
 use crate::tier::MemoryTier;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, Bytes, SocketSpec, TimeSecs};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite};
 use sn_trace::{ArgValue, Counter, Metric, Tracer, Track};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A directed transfer route between two tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Route {
     pub from: MemoryTier,
     pub to: MemoryTier,
@@ -47,35 +45,37 @@ impl TrafficLedger {
 
     /// Records a transfer.
     pub fn record(&self, route: Route, bytes: Bytes) {
-        let mut m = self.inner.lock();
+        let mut m = self.lock();
         let entry = m.entry(route).or_insert(Bytes::ZERO);
         *entry += bytes;
     }
 
     /// Total bytes moved on one route.
     pub fn moved(&self, route: Route) -> Bytes {
-        self.inner
-            .lock()
-            .get(&route)
-            .copied()
-            .unwrap_or(Bytes::ZERO)
+        self.lock().get(&route).copied().unwrap_or(Bytes::ZERO)
     }
 
     /// Total bytes moved on all routes.
     pub fn total(&self) -> Bytes {
-        self.inner.lock().values().copied().sum()
+        self.lock().values().copied().sum()
     }
 
     /// Snapshot of all routes for reporting.
     pub fn snapshot(&self) -> Vec<(Route, Bytes)> {
-        let mut v: Vec<(Route, Bytes)> = self.inner.lock().iter().map(|(&r, &b)| (r, b)).collect();
+        let mut v: Vec<(Route, Bytes)> = self.lock().iter().map(|(&r, &b)| (r, b)).collect();
         v.sort_by_key(|&(r, _)| (r.from, r.to));
         v
     }
 
     /// Clears all recorded traffic.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        self.lock().clear();
+    }
+
+    /// Locks the ledger, recovering it from a poisoned lock: every update
+    /// is one map entry add, so a panicking holder leaves it valid.
+    fn lock(&self) -> MutexGuard<'_, HashMap<Route, Bytes>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

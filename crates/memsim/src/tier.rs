@@ -1,12 +1,11 @@
 //! Memory-tier identities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One level of the memory system. Ordered from fastest/smallest to
 /// slowest/largest — `Sram < Hbm < Ddr < HostDram` — so tiers can be
 /// compared by "distance from the compute".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemoryTier {
     /// Distributed on-chip PMU scratchpads (tier 1, 520 MiB on SN40L).
     Sram,

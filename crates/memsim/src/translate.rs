@@ -8,17 +8,16 @@
 //! overlap validation and fault reporting.
 
 use crate::alloc::Region;
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use std::error::Error;
 use std::fmt;
 
 /// A virtual address in a model's address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(pub u64);
 
 /// A translated physical location: tier plus byte offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysAddr {
     pub tier: crate::tier::MemoryTier,
     pub offset: u64,
@@ -55,7 +54,7 @@ impl fmt::Display for TranslateError {
 
 impl Error for TranslateError {}
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Segment {
     base: u64,
     size: u64,
@@ -63,7 +62,7 @@ struct Segment {
 }
 
 /// A per-model segment table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentTable {
     /// Sorted by base, non-overlapping.
     segments: Vec<Segment>,

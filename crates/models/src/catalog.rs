@@ -8,14 +8,13 @@
 
 use crate::config::TransformerConfig;
 use crate::llm::{build, Phase};
-use serde::{Deserialize, Serialize};
 use sn_dataflow::Graph;
 
 /// Vision prefix tokens for the LLaVA-1.5 multimodal benchmark.
 pub const LLAVA_VISION_TOKENS: usize = 576;
 
 /// Phase tag used in benchmark names (Table II "Configurations").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkPhase {
     Prefill,
     Decode,

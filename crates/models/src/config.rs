@@ -3,12 +3,11 @@
 //! Dimensions follow the published model cards; parameter counts are
 //! validated against the advertised sizes in tests.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::Bytes;
 use sn_dataflow::DType;
 
 /// Normalization flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Norm {
     /// RMSNorm (Llama/Mistral family).
     Rms,
@@ -17,7 +16,7 @@ pub enum Norm {
 }
 
 /// MLP activation flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Gated SiLU (SwiGLU): three MLP matrices.
     SwiGlu,
@@ -26,7 +25,7 @@ pub enum Activation {
 }
 
 /// Attention layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attention {
     /// Full multi-head attention (as many KV heads as query heads).
     MultiHead,
@@ -36,7 +35,7 @@ pub enum Attention {
 
 /// Mixture-of-Experts MLP configuration (§II: "a CoE can leverage expert
 /// models that are implemented internally as MoEs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MoeConfig {
     /// Experts per MLP layer.
     pub experts: usize,
@@ -45,7 +44,7 @@ pub struct MoeConfig {
 }
 
 /// A decoder-only transformer description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerConfig {
     pub name: String,
     pub hidden: usize,

@@ -7,11 +7,10 @@
 
 use crate::config::{Activation, Attention, Norm, TransformerConfig};
 use crate::llm::{build, Phase};
-use serde::{Deserialize, Serialize};
 use sn_dataflow::{Graph, GraphError};
 
 /// Vision-encoder description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitConfig {
     /// The transformer body (as a decoder-config reused in encoder mode).
     pub body: TransformerConfig,

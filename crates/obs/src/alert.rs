@@ -13,13 +13,12 @@
 
 use crate::registry::MetricRegistry;
 use crate::series::{LabelSet, SeriesKey};
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use std::collections::BTreeSet;
 
 /// What a rule watches. Window sizes are in waves over the raw recent
 /// window (so they must fit `RegistryConfig::recent_capacity`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AlertCondition {
     /// Mean of a gauge over `window` waves exceeds `threshold` (e.g.
     /// p99-over-threshold on a latency gauge).
@@ -74,7 +73,7 @@ pub enum AlertCondition {
 }
 
 /// A named rule over one condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
     /// Rule name, unique within the engine (e.g. `slo_burn_batch`).
     pub name: String,
@@ -86,7 +85,7 @@ pub struct AlertRule {
 }
 
 /// Transition direction of an [`AlertEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertKind {
     /// Rule entered the breaching state.
     Firing,
@@ -105,7 +104,7 @@ impl AlertKind {
 }
 
 /// One firing/resolved transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertEvent {
     /// Name of the rule that transitioned.
     pub rule: String,

@@ -1,8 +1,7 @@
 //! JSON export of an [`ObsReport`].
 //!
-//! The vendored `serde` is a marker stub (see `sn-trace::chrome`), so the
-//! document is written through `sn_trace::json::JsonWriter` with a fixed
-//! key order, sorted series, and `{:?}` shortest-roundtrip float
+//! The document is written through `sn_trace::json::JsonWriter` with a
+//! fixed key order, sorted series, and `{:?}` shortest-roundtrip float
 //! formatting — byte-identical for identical reports, which is what the
 //! `--jobs` parity tests diff. The document parses with
 //! `sn_trace::json::parse`.

@@ -55,10 +55,8 @@ pub use recorder::{FlightEntry, FlightRecorder, PostMortem, RecorderConfig};
 pub use registry::{MetricRegistry, RegistryConfig};
 pub use series::{Bucket, LabelSet, MetricKind, Sample, SeriesBuffer, SeriesKey};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Full observability pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -84,7 +82,7 @@ pub struct WaveObservation {
 }
 
 /// Everything the pipeline saw, frozen at end of run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsReport {
     /// Waves observed (`end_wave` calls).
     pub waves: usize,
@@ -126,6 +124,14 @@ struct ObsState {
     last_wave: usize,
 }
 
+/// Locks the shared pipeline, recovering it from a poisoned lock: the
+/// pipeline only reads serving state, so one left half-updated by a
+/// panicking holder can misreport telemetry but never change a serving
+/// result.
+fn lock(state: &Mutex<ObsState>) -> MutexGuard<'_, ObsState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Handle through which instrumented serving code records telemetry.
 ///
 /// Cheap to clone; clones share one pipeline. Disabled handles make
@@ -140,7 +146,7 @@ impl std::fmt::Debug for Obs {
         match &self.inner {
             None => write!(f, "Obs(disabled)"),
             Some(s) => {
-                let s = s.lock();
+                let s = lock(s);
                 write!(
                     f,
                     "Obs(enabled, {} series, wave {})",
@@ -184,7 +190,7 @@ impl Obs {
     #[inline]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().registry.gauge_parts(name, labels, value);
+        lock(inner).registry.gauge_parts(name, labels, value);
     }
 
     /// Adds to a labeled counter's delta for the current wave. Same
@@ -192,7 +198,7 @@ impl Obs {
     #[inline]
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().registry.add_parts(name, labels, delta);
+        lock(inner).registry.add_parts(name, labels, delta);
     }
 
     /// Records a flight-recorder entry (shed, crash, scale event, …).
@@ -207,7 +213,7 @@ impl Obs {
         value: f64,
     ) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().recorder.record(FlightEntry {
+        lock(inner).recorder.record(FlightEntry {
             wave,
             t,
             node,
@@ -222,7 +228,7 @@ impl Obs {
     #[inline]
     pub fn incident(&self, trigger: &str, wave: usize, at: TimeSecs) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().recorder.incident(trigger, wave, at);
+        lock(inner).recorder.incident(trigger, wave, at);
     }
 
     /// Closes a wave: samples the registry, evaluates alert rules
@@ -232,7 +238,7 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return WaveObservation::default();
         };
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         s.registry.sample(wave, at);
         let ObsState {
             registry, engine, ..
@@ -272,7 +278,7 @@ impl Obs {
     pub fn is_capturing(&self) -> bool {
         match &self.inner {
             None => false,
-            Some(inner) => inner.lock().recorder.is_capturing(),
+            Some(inner) => lock(inner).recorder.is_capturing(),
         }
     }
 
@@ -280,7 +286,7 @@ impl Obs {
     pub fn waves(&self) -> usize {
         match &self.inner {
             None => 0,
-            Some(inner) => inner.lock().waves,
+            Some(inner) => lock(inner).waves,
         }
     }
 
@@ -288,7 +294,7 @@ impl Obs {
     /// snapshots series, alerts, and bundles. `None` when disabled.
     pub fn finalize(&self) -> Option<ObsReport> {
         let inner = self.inner.as_ref()?;
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         let ObsState {
             registry,
             recorder,

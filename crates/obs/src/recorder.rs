@@ -14,12 +14,11 @@
 
 use crate::registry::MetricRegistry;
 use crate::series::{Sample, SeriesKey};
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use std::collections::VecDeque;
 
 /// One notable event on the flight-recorder ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightEntry {
     /// Wave index when the event happened.
     pub wave: usize,
@@ -36,7 +35,7 @@ pub struct FlightEntry {
 }
 
 /// A frozen post-mortem bundle: what happened around one incident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PostMortem {
     /// What opened the capture (e.g. `alert:slo_burn_batch`,
     /// `fault_window:socket_link`, `chaos_outage`).
@@ -93,7 +92,7 @@ impl PostMortem {
 }
 
 /// Sizing knobs for the recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Ring capacity: how many recent entries the lead-in can hold.
     pub ring_capacity: usize,

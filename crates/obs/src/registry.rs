@@ -20,12 +20,11 @@
 //! so both paths produce byte-identical exports.
 
 use crate::series::{MetricKind, Sample, SeriesBuffer, SeriesKey};
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use std::cmp::Ordering;
 
 /// Sizing knobs for per-series storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryConfig {
     /// Downsampling ring capacity per series (buckets kept for the whole
     /// run; compaction halves resolution when full).

@@ -18,14 +18,13 @@
 //! allocation happens only on recording paths — a disabled observability
 //! pipeline never constructs a buffer at all.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::TimeSecs;
 use std::collections::VecDeque;
 
 /// A sorted, deduplicated set of `key=value` labels. Ordering is by the
 /// sorted pair list, so any two sets built from the same pairs — in any
 /// order — compare equal and sort identically.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LabelSet(Vec<(String, String)>);
 
 impl LabelSet {
@@ -77,7 +76,7 @@ impl LabelSet {
 }
 
 /// Identity of one time series: metric name plus labels.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeriesKey {
     /// Metric name (snake_case).
     pub name: String,
@@ -102,7 +101,7 @@ impl SeriesKey {
 
 /// What a series measures — determines how wave-boundary sampling
 /// treats it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Point-in-time value set during the wave; sampled only on waves
     /// that set it.
@@ -114,7 +113,7 @@ pub enum MetricKind {
 }
 
 /// One raw sample: the value a series had at a wave boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Wave index the sample closed.
     pub wave: usize,
@@ -127,7 +126,7 @@ pub struct Sample {
 /// One bucket of the downsampled ring: an aggregate over a contiguous
 /// span of waves. A freshly pushed sample is a bucket of one; compaction
 /// merges neighbours exactly (min/min, max/max, sum/sum, count/count).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
     /// First wave the bucket covers.
     pub wave_first: usize,
@@ -186,7 +185,7 @@ impl Bucket {
 
 /// Fixed-capacity storage for one series: recent raw window plus the
 /// full-run downsampling ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesBuffer {
     kind: MetricKind,
     ring_capacity: usize,

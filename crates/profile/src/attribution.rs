@@ -11,14 +11,13 @@
 //! attained FLOP rate comes to the roofline, and how hard each memory
 //! tier is driven.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::roofline::Roofline;
 use sn_arch::{Bandwidth, Bytes, FlopRate, Flops, NodeSpec, TimeSecs};
 use sn_trace::{Metric, MetricsReport};
 
 /// The machine model attribution is computed against: a compute ceiling
 /// plus the *effective* bandwidth of each off-chip memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProfile {
     /// Peak BF16 throughput (the roofline ceiling).
     pub peak: FlopRate,
@@ -59,7 +58,7 @@ impl MachineProfile {
 }
 
 /// A serving phase, in pipeline order (Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Router prefill plus classification decode steps (§VI-B).
     Router,
@@ -96,7 +95,7 @@ impl PhaseKind {
 }
 
 /// Raw inputs for one phase: where its time went and what it moved/computed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSample {
     /// Which phase this is.
     pub kind: PhaseKind,
@@ -111,7 +110,7 @@ pub struct PhaseSample {
 }
 
 /// Which resource binds a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// Compute demand (FLOPs at peak) dominates: the phase sits on the
     /// roofline ceiling (fused prefill, §VI-A).
@@ -142,7 +141,7 @@ impl Bound {
 
 /// One phase's attribution: time share, bottleneck class, roofline
 /// position, and per-tier bandwidth utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseAttribution {
     /// Which phase this is.
     pub kind: PhaseKind,
@@ -226,7 +225,7 @@ impl PhaseAttribution {
 
 /// Hierarchical time attribution of one served batch: every phase, in
 /// pipeline order, measured against one [`MachineProfile`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeAttribution {
     /// The machine the batch was measured against.
     pub machine: MachineProfile,
@@ -324,7 +323,7 @@ impl ServeAttribution {
 /// Per-request latency quantiles pulled from a [`MetricsReport`]'s
 /// `request_ns` histogram via the public [`sn_trace::Histogram::quantile`]
 /// API (conservative power-of-two upper bounds, in nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestQuantiles {
     /// Median request latency (ns, bucket upper bound).
     pub p50_ns: u64,

@@ -12,12 +12,11 @@
 //! [`snapshot`]: SloTracker::snapshot
 
 use crate::attribution::MachineProfile;
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, TimeSecs};
 use std::collections::VecDeque;
 
 /// Tuning for an [`SloTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloConfig {
     /// How many of the most recent batches the sliding window keeps.
     /// Must be at least 1 (a zero window is promoted to 1).
@@ -31,7 +30,7 @@ impl Default for SloConfig {
 }
 
 /// One served batch, as the SLO layer sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchObservation {
     /// End-to-end batch latency.
     pub latency: TimeSecs,
@@ -49,7 +48,7 @@ pub struct BatchObservation {
 
 /// Point-in-time summary of the tracker's window: the serving SLO
 /// dashboard, attached to `ServeReport`/`ClusterReport` by `sn-coe`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSnapshot {
     /// Batches currently in the window.
     pub window_batches: usize,

@@ -7,12 +7,10 @@
 //! a relative tolerance, plus free-form `info` entries (simulator
 //! wall-clock, configuration) that are recorded but never compared.
 //! Snapshots serialize to a small JSON document (`sn-bench-snapshot-v1`,
-//! written through `sn_trace::json::JsonWriter`; the vendored `serde` is a
-//! marker stub) and parse back via `sn_trace::json`, so a committed baseline can be
-//! diffed against a fresh run: [`BenchSnapshot::compare`] flags any
+//! written through `sn_trace::json::JsonWriter`) and parse back via
+//! `sn_trace::json`, so a committed baseline can be diffed against a fresh run: [`BenchSnapshot::compare`] flags any
 //! metric whose relative deviation exceeds the *baseline's* tolerance.
 
-use serde::{Deserialize, Serialize};
 use sn_trace::json::{self, JsonValue, JsonWriter};
 
 /// Schema identifier written into (and required of) every snapshot.
@@ -20,7 +18,7 @@ pub const SCHEMA: &str = "sn-bench-snapshot-v1";
 
 /// A tracked metric's value: numeric (compared within tolerance) or text
 /// (compared exactly — e.g. a bottleneck classification).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A number; non-finite values are serialized as 0 (matching the
     /// tracer's JSON writers).
@@ -40,7 +38,7 @@ impl std::fmt::Display for MetricValue {
 
 /// One tracked metric: key, value, display unit, and the relative
 /// tolerance future runs are allowed to deviate by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchMetric {
     /// Stable dotted key, e.g. `fig12.bs8.total_ms`.
     pub key: String,
@@ -53,7 +51,7 @@ pub struct BenchMetric {
 }
 
 /// An ordered, machine-readable benchmark snapshot.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchSnapshot {
     /// Tracked metrics, in insertion order.
     pub metrics: Vec<BenchMetric>,
@@ -245,7 +243,7 @@ impl BenchSnapshot {
 }
 
 /// Outcome of comparing one metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareStatus {
     /// Within the baseline's tolerance.
     Ok,
@@ -270,7 +268,7 @@ impl CompareStatus {
 }
 
 /// One metric's comparison outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompareRow {
     /// The metric key.
     pub key: String,
@@ -289,7 +287,7 @@ pub struct CompareRow {
 }
 
 /// Full result of a baseline-vs-current comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompareReport {
     /// One row per baseline metric, then any new current-only metrics.
     pub rows: Vec<CompareRow>,

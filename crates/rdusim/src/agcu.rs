@@ -1,13 +1,12 @@
 //! Address Generation and Coalescing Unit model (§IV-D): kernel-launch
 //! sequencing (software- vs hardware-orchestrated) and DMA stream timing.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, Bytes, Calibration, TimeSecs};
 
 pub use sn_arch::Orchestration;
 
 /// The three launch commands of one kernel (§IV-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaunchCommand {
     ProgramLoad,
     ArgumentLoad,
@@ -15,7 +14,7 @@ pub enum LaunchCommand {
 }
 
 /// Kernel-launch overhead model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchModel {
     calib: Calibration,
 }
@@ -51,7 +50,7 @@ impl LaunchModel {
 
 /// A DMA stream descriptor: the AGCU sustains several concurrent streams
 /// and coalesces their responses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaStream {
     pub bytes: Bytes,
     /// Bandwidth available to this stream.

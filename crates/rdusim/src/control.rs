@@ -9,11 +9,9 @@
 //! dependences — with detection of the classic misprogramming (a token
 //! cycle that deadlocks the kernel).
 
-use serde::{Deserialize, Serialize};
-
 /// A hardware loop counter (§IV-A): counts events up to a programmed
 /// maximum and fires a `done` token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopCounter {
     max: u64,
     count: u64,
@@ -62,7 +60,7 @@ impl LoopCounter {
 
 /// One unit in the orchestration graph: it runs for `work` ticks once all
 /// its token inputs have fired, then fires its own token.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchUnit {
     pub name: String,
     /// Iterations before this unit's counter fires `done`.
@@ -72,7 +70,7 @@ pub struct OrchUnit {
 }
 
 /// Outcome of running an orchestration graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrchOutcome {
     /// All units completed; `finish_order` is by completion tick.
     Completed {

@@ -9,10 +9,8 @@
 //! models both schemes and checks the defining invariant — every address
 //! is owned by exactly one PMU.
 
-use serde::{Deserialize, Serialize};
-
 /// How a PMU group claims addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterleaveScheme {
     /// Capacity partitioning: PMU `i` owns the contiguous range
     /// `[i * chunk, (i + 1) * chunk)` (S0–S3 in Figure 4).
@@ -24,7 +22,7 @@ pub enum InterleaveScheme {
 }
 
 /// A group of PMUs backing one logical tensor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PmuGroup {
     pub pmus: usize,
     pub scheme: InterleaveScheme,

@@ -6,11 +6,10 @@
 //! answers one question: how many cycles does a given operation take on one
 //! PCU (or a gang of PCUs)?
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Cycles, PcuSpec};
 
 /// Timing model for one PCU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcuModel {
     spec: PcuSpec,
 }

@@ -8,11 +8,10 @@
 //! simulator executes the pipeline cycle by cycle so tests can check the
 //! prediction, including the effect of finite stage-buffer depths.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::Cycles;
 
 /// One pipeline stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     pub name: String,
     /// Service time per tile.
@@ -38,7 +37,7 @@ impl Stage {
 }
 
 /// Results of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Cycles from first injection to last tile drained.
     pub total: Cycles,

@@ -3,11 +3,10 @@
 //! transpose layout, sequence-ID write reordering, and the partitionable
 //! address-ALU pipeline.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bytes, Cycles, PmuSpec};
 
 /// How scratchpad addresses map to banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankMapping {
     /// Fixed mapping: bank = bits just above the vector-word offset.
     /// This is the SN10 behavior (§VII: double buffers of arbitrary tensor
@@ -19,7 +18,7 @@ pub enum BankMapping {
 }
 
 /// Timing and conflict model of one PMU scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmuModel {
     spec: PmuSpec,
     mapping: BankMapping,

@@ -9,12 +9,10 @@
 //! per-link relabeling, where labels are rewritten at every switch and only
 //! need to be unique per link.
 
-use bytes::Bytes as Payload;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A switch position in the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     pub x: usize,
     pub y: usize,
@@ -39,7 +37,7 @@ enum Dir {
 const DIRS: [Dir; 5] = [Dir::North, Dir::East, Dir::South, Dir::West, Dir::Local];
 
 /// Flow-ID allocation scheme (§IV-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowIdMode {
     /// SN10: one chip-wide pool; flows sharing any switch must use
     /// distinct pool IDs, and the pool is small. Flows that cannot be
@@ -51,7 +49,7 @@ pub enum FlowIdMode {
 }
 
 /// One logical packet stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flow {
     pub src: Coord,
     /// One destination for unicast; several for multicast fan-out.
@@ -81,7 +79,7 @@ impl Flow {
 }
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     pub width: usize,
     pub height: usize,
@@ -106,7 +104,7 @@ impl Default for NetConfig {
 }
 
 /// Results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetStats {
     /// Total cycles until every packet of every phase was delivered.
     pub cycles: u64,
@@ -128,8 +126,6 @@ pub struct NetStats {
 struct Packet {
     flow: usize,
     dsts: Vec<Coord>,
-    #[allow(dead_code)]
-    payload: Payload,
 }
 
 struct Switch {
@@ -289,7 +285,6 @@ impl NetSim {
                     switches[sw].queues[4].push_back(Packet {
                         flow: fi,
                         dsts: f.dsts.clone(),
-                        payload: Payload::new(),
                     });
                     injected[fi] += 1;
                     tokens[fi] -= 1;
@@ -383,7 +378,6 @@ impl NetSim {
                                         Packet {
                                             flow: pkt.flow,
                                             dsts,
-                                            payload: pkt.payload.clone(),
                                         },
                                     ));
                                 }

@@ -9,12 +9,11 @@
 //! placement heuristics are judged against.
 
 use crate::rdn::{Coord, Flow, NetConfig, NetSim, NetStats};
-use serde::{Deserialize, Serialize};
 use sn_arch::TileGeometry;
 
 /// One pipeline stage to place: a gang of compute units plus its stage
 /// buffer memory units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageReq {
     pub pcus: usize,
     pub pmus: usize,
@@ -24,7 +23,7 @@ pub struct StageReq {
 }
 
 /// Where a stage landed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedStage {
     /// Mesh positions assigned to this stage (gang + buffers).
     pub positions: Vec<Coord>,
@@ -33,7 +32,7 @@ pub struct PlacedStage {
 }
 
 /// A mapped kernel: stages placed on one die's mesh.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     pub stages: Vec<PlacedStage>,
     pub positions_used: usize,

@@ -8,7 +8,6 @@
 //! up; eviction copies only dirty segments back, because the compiler
 //! annotates read-only symbols (weights) that never need the return trip.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Bandwidth, Bytes, NodeSpec, TimeSecs};
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, Recovery, RetryPolicy};
 use sn_memsim::{AllocError, DeviceMemory, MemoryTier, Region, SegmentTable, VirtAddr};
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// What a compiled model needs from the memory system (§V-B: "each
 /// compiled model binary tells us ahead of time exactly how much HBM and
 /// DDR space that model will require").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelBinary {
     pub name: String,
     /// Bytes the compiler intended for HBM (weights + resident state),
@@ -47,14 +46,14 @@ impl ModelBinary {
 
 /// Which resident model to evict when HBM fills (§V-B uses LRU; FIFO is
 /// the ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionPolicy {
     Lru,
     Fifo,
 }
 
 /// Runtime configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoeRuntimeConfig {
     pub eviction: EvictionPolicy,
     /// Skip copying read-only symbols back to DDR on eviction (§V-B).
@@ -74,7 +73,7 @@ impl Default for CoeRuntimeConfig {
 }
 
 /// Result of one activation request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationOutcome {
     /// The model was already resident: no copies at all.
     pub hit: bool,
@@ -153,7 +152,7 @@ impl fmt::Display for CoeError {
 impl Error for CoeError {}
 
 /// Cumulative runtime statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoeStats {
     pub hits: u64,
     pub misses: u64,

@@ -1,6 +1,5 @@
 //! Running executables with launch-overhead accounting (§IV-D, §VI-A).
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Calibration, NodeSpec, Orchestration, TimeSecs};
 use sn_compiler::Executable;
 use sn_faults::{FaultDecision, FaultPlan, FaultSite, Recovery, RetryError, RetryPolicy};
@@ -9,7 +8,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Timing breakdown of one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionReport {
     /// End-to-end time.
     pub total: TimeSecs,

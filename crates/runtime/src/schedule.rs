@@ -7,13 +7,12 @@
 //! the artifact that software orchestration replays from the host and
 //! hardware orchestration offloads to the AGCU.
 
-use serde::{Deserialize, Serialize};
 use sn_arch::{Calibration, Orchestration, TimeSecs};
 use sn_compiler::{Executable, KernelId};
 use std::collections::HashSet;
 
 /// One AGCU command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// Load a kernel's configuration bitstream onto the tile.
     ProgramLoad(KernelId),
@@ -24,7 +23,7 @@ pub enum Command {
 }
 
 /// A fully expanded launch sequence for one execution of an executable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchSequence {
     commands: Vec<Command>,
     program_loads: usize,

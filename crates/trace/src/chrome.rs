@@ -2,9 +2,8 @@
 //!
 //! Serializes a tracer's event buffer into the JSON Object Format of the
 //! Chrome Trace Event specification — loadable in Perfetto
-//! (<https://ui.perfetto.dev>) or `chrome://tracing`. The vendored `serde`
-//! is a marker stub, so the document is written through
-//! [`JsonWriter`]; output is deterministic: fixed key order, events in
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`. The document is
+//! written through [`JsonWriter`]; output is deterministic: fixed key order, events in
 //! emission order, and `{:?}` (shortest-roundtrip) float formatting.
 //!
 //! Emitted phases:

@@ -6,15 +6,13 @@
 //! tracer's lifetime; histograms aggregate per-operation latencies into
 //! power-of-two buckets.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonic counter exported by the instrumented simulation stack.
 ///
 /// Each variant's documentation states the unit and the paper mechanism it
 /// observes. Counters are accumulated in a fixed array inside the tracer
 /// (indexed by [`Counter::index`]), so aggregation order never depends on
 /// hash-map iteration and reports are deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Unit: cycles. Total PMU scratchpad vector-access cycles, including
     /// serialization from bank conflicts (§IV-B: banked scratchpad with
@@ -296,7 +294,7 @@ impl Counter {
 
 /// A latency histogram identity: which operation's durations are being
 /// aggregated. All histograms record **nanoseconds of model time**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Per-transfer DMA latency (§IV-D). Spread reveals the mix of small
     /// argument transfers and multi-gigabyte expert copies.
@@ -358,7 +356,7 @@ pub const HISTOGRAM_BUCKETS: usize = 56;
 ///
 /// Deterministic by construction: recording is a pure function of the
 /// value, and bucket order is fixed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

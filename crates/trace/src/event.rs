@@ -5,11 +5,9 @@
 //! duration slices, counter events become counter tracks, and instants
 //! become markers.
 
-use serde::{Deserialize, Serialize};
-
 /// A timeline row: each instrumented subsystem gets its own process id in
 /// the Chrome trace so Perfetto groups its events together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Track {
     /// On-chip cycle-level simulation (`sn-rdusim`): PCU/PMU occupancy,
     /// bank conflicts, RDN credit stalls. Timestamps on this track are in
@@ -66,7 +64,7 @@ impl Track {
 }
 
 /// What kind of mark an event puts on the timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A slice with a duration (Chrome phase `"X"`).
     Complete {
@@ -83,7 +81,7 @@ pub enum EventKind {
 }
 
 /// A typed argument value attached to an event (`args` in Chrome trace).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer payload (counts, bytes, indices).
     U64(u64),
@@ -132,7 +130,7 @@ impl From<bool> for ArgValue {
 }
 
 /// One structured trace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event name (the slice label in Perfetto).
     pub name: String,

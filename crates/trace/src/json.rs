@@ -1,10 +1,10 @@
 //! The workspace's one JSON writer, [`JsonWriter`], and a minimal
 //! recursive-descent parser for what it writes.
 //!
-//! The vendored `serde` is a marker stub with no real (de)serialization,
-//! so every exported document — the Chrome trace ([`crate::chrome`]), the
-//! `sn-obs` export, and the `sn-profile` bench snapshot — is written by
-//! hand through [`JsonWriter`], and validated by [`parse`]. The parser
+//! The workspace has no serialization dependency: every exported
+//! document — the Chrome trace ([`crate::chrome`]), the `sn-obs` export,
+//! and the `sn-profile` bench snapshot — is written by hand through
+//! [`JsonWriter`], and validated by [`parse`]. The parser
 //! supports the full JSON grammar minus `\uXXXX` surrogate pairs
 //! (unneeded: the writer only emits `\u00XX` control escapes).
 

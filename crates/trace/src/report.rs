@@ -2,13 +2,12 @@
 //! layer, attached to serving reports and rendered by `repro`.
 
 use crate::counter::{Counter, Histogram, Metric};
-use serde::{Deserialize, Serialize};
 
 /// Snapshot of every non-zero counter and non-empty histogram a tracer
 /// accumulated, in the fixed order of [`Counter::ALL`] / [`Metric::ALL`]
 /// (never hash-map order), so two same-seed runs produce identical
 /// reports.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsReport {
     /// Non-zero counters in [`Counter::ALL`] order.
     pub counters: Vec<(Counter, u64)>,

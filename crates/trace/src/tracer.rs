@@ -1,16 +1,15 @@
 //! The [`Tracer`] handle instrumented simulators record through.
 //!
 //! A tracer is cheap to clone (an `Option<Arc<..>>`) and thread-safe (the
-//! shared state sits behind a `parking_lot::Mutex`). Disabled tracers hold
+//! shared state sits behind a `std::sync::Mutex`). Disabled tracers hold
 //! `None`: every recording method is an inlined null check followed by an
 //! immediate return, so instrumentation costs nothing when off.
 
 use crate::counter::{Counter, Histogram, Metric};
 use crate::event::{ArgValue, EventKind, TraceEvent, Track};
 use crate::report::MetricsReport;
-use parking_lot::Mutex;
 use sn_arch::TimeSecs;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct State {
     events: Vec<TraceEvent>,
@@ -32,6 +31,14 @@ impl State {
     }
 }
 
+/// Locks the shared buffer, recovering it from a poisoned lock: every
+/// update under the lock is one add, one histogram record or one push
+/// (a span moves its track's cursor first, which at worst leaves a gap
+/// on the timeline), so a panicking holder leaves the buffer valid.
+fn lock(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Handle through which instrumented code records events and counters.
 ///
 /// Holds either a shared buffer (enabled) or nothing (disabled). Clones
@@ -46,7 +53,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             None => write!(f, "Tracer(disabled)"),
-            Some(s) => write!(f, "Tracer(enabled, {} events)", s.lock().events.len()),
+            Some(s) => write!(f, "Tracer(enabled, {} events)", lock(s).events.len()),
         }
     }
 }
@@ -76,7 +83,7 @@ impl Tracer {
     #[inline]
     pub fn count(&self, counter: Counter, delta: u64) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().counters[counter.index()] += delta;
+        lock(inner).counters[counter.index()] += delta;
     }
 
     /// Records one latency observation into a histogram. Negative or
@@ -84,7 +91,7 @@ impl Tracer {
     #[inline]
     pub fn observe(&self, metric: Metric, duration: TimeSecs) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().histograms[metric.index()].record(secs_to_ns(duration));
+        lock(inner).histograms[metric.index()].record(secs_to_ns(duration));
     }
 
     /// Emits a complete (duration) event at the track's cursor and
@@ -98,7 +105,7 @@ impl Tracer {
         args: &[(&'static str, ArgValue)],
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         let ts_us = s.cursors[track.index()];
         let dur_us = secs_to_us(duration);
         s.cursors[track.index()] = ts_us + dur_us;
@@ -126,7 +133,7 @@ impl Tracer {
         args: &[(&'static str, ArgValue)],
     ) {
         let Some(inner) = &self.inner else { return };
-        inner.lock().events.push(TraceEvent {
+        lock(inner).events.push(TraceEvent {
             name: name.into(),
             track,
             tid,
@@ -147,7 +154,7 @@ impl Tracer {
         args: &[(&'static str, ArgValue)],
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         let ts_us = s.cursors[track.index()];
         s.events.push(TraceEvent {
             name: name.into(),
@@ -164,7 +171,7 @@ impl Tracer {
     #[inline]
     pub fn counter_sample(&self, track: Track, name: impl Into<String>, value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         let ts_us = s.cursors[track.index()];
         s.events.push(TraceEvent {
             name: name.into(),
@@ -181,7 +188,7 @@ impl Tracer {
     pub fn cursor_us(&self, track: Track) -> f64 {
         match &self.inner {
             None => 0.0,
-            Some(inner) => inner.lock().cursors[track.index()],
+            Some(inner) => lock(inner).cursors[track.index()],
         }
     }
 
@@ -189,7 +196,7 @@ impl Tracer {
     /// to align a track with work accounted elsewhere.
     pub fn advance_cursor_us(&self, track: Track, ts_us: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut s = inner.lock();
+        let mut s = lock(inner);
         let c = &mut s.cursors[track.index()];
         if ts_us > *c {
             *c = ts_us;
@@ -200,7 +207,7 @@ impl Tracer {
     pub fn event_count(&self) -> usize {
         match &self.inner {
             None => 0,
-            Some(inner) => inner.lock().events.len(),
+            Some(inner) => lock(inner).events.len(),
         }
     }
 
@@ -208,7 +215,7 @@ impl Tracer {
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.lock().events.clone(),
+            Some(inner) => lock(inner).events.clone(),
         }
     }
 
@@ -217,7 +224,7 @@ impl Tracer {
     pub fn counter(&self, counter: Counter) -> u64 {
         match &self.inner {
             None => 0,
-            Some(inner) => inner.lock().counters[counter.index()],
+            Some(inner) => lock(inner).counters[counter.index()],
         }
     }
 
@@ -226,7 +233,7 @@ impl Tracer {
         match &self.inner {
             None => MetricsReport::empty(),
             Some(inner) => {
-                let s = inner.lock();
+                let s = lock(inner);
                 MetricsReport::from_raw(&s.counters, &s.histograms)
             }
         }
@@ -243,7 +250,7 @@ impl Tracer {
     pub fn chrome_trace_json(&self) -> String {
         match &self.inner {
             None => crate::chrome::to_chrome_json(&[]),
-            Some(inner) => crate::chrome::to_chrome_json(&inner.lock().events),
+            Some(inner) => crate::chrome::to_chrome_json(&lock(inner).events),
         }
     }
 }

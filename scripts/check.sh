@@ -8,18 +8,18 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps -q
 
 echo "==> cargo test"
-cargo test --workspace -q
+cargo test --locked --workspace -q
 
 echo "==> cargo test --release (integration tests at optimized speed)"
-cargo test --workspace --release -q --tests
+cargo test --locked --workspace --release -q --tests
 
-echo "==> repro serve --jobs parity (parallel sweep == legacy path, byte-for-byte)"
+echo "==> repro serve --jobs parity (the sequential sweep ignores --jobs, byte-for-byte)"
 cargo build --release -q -p sn-bench --bin repro
 ./target/release/repro --jobs 1 serve > /tmp/serve_jobs1.out
 ./target/release/repro --jobs 4 serve > /tmp/serve_jobs4.out

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{check_cases, CaseRng};
+use common::{check_cases, shrink_failure, shrink_list, CaseRng, SHRINK_BUDGET};
 use sn_arch::Bytes;
 use sn_memsim::{AllocError, MemoryTier, Region, RegionAllocator};
 
@@ -187,14 +187,11 @@ fn generate(rng: &mut CaseRng) -> Case {
 }
 
 fn shrink(case: &Case) -> Vec<Case> {
-    (0..case.ops.len())
-        .map(|i| {
-            let mut ops = case.ops.clone();
-            ops.remove(i);
-            Case {
-                capacity: case.capacity,
-                ops,
-            }
+    shrink_list(&case.ops)
+        .into_iter()
+        .map(|ops| Case {
+            capacity: case.capacity,
+            ops,
         })
         .collect()
 }
@@ -328,6 +325,38 @@ fn live_set_allocator_matches_the_sorted_vec_reference() {
         shrink,
         || (),
         |_, case| run_case(case, &mut Seen::default()),
+    );
+}
+
+/// The shrink loop itself: a property that fails only when an `Alloc`
+/// is later followed by a `Reset` shrinks a generated 104-op case to
+/// exactly that pair, at a fixed point inside the evaluation budget.
+#[test]
+fn shrinking_reaches_the_two_op_reproduction() {
+    let alloc_then_reset = |_: &mut (), case: &Case| {
+        let first_alloc = case.ops.iter().position(|op| matches!(op, Op::Alloc(_)));
+        match first_alloc {
+            Some(i) if case.ops[i..].iter().any(|op| matches!(op, Op::Reset)) => {
+                Err("an Alloc is followed by a Reset".to_string())
+            }
+            _ => Ok(()),
+        }
+    };
+    let mut rng = CaseRng::new(0x54_e1f);
+    let case = (0..10_000)
+        .map(|_| generate(&mut rng))
+        .find(|c| c.ops.len() == 104 && alloc_then_reset(&mut (), c).is_err())
+        .expect("the generator draws a failing 104-op case");
+    let (smallest, _, evaluations) =
+        shrink_failure(case, String::new(), shrink, || (), alloc_then_reset);
+    assert!(
+        matches!(smallest.ops[..], [Op::Alloc(_), Op::Reset]),
+        "shrunk to {} ops: {smallest:?}",
+        smallest.ops.len()
+    );
+    assert!(
+        evaluations < SHRINK_BUDGET,
+        "fixed point reached after {evaluations} evaluations"
     );
 }
 

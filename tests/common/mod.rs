@@ -1,7 +1,8 @@
 //! Tiny in-repo property-testing harness: a seeded case generator plus a
-//! fixed-iteration shrink loop. Deliberately dependency-free — the point
-//! is seed-stable reproducibility, not distribution sophistication. A
-//! failing case panics with the harness seed, the case index, and the
+//! shrink loop run to a fixed point under an evaluation budget.
+//! Deliberately dependency-free — the point is seed-stable
+//! reproducibility, not distribution sophistication. A failing case
+//! panics with the harness seed, the case index, and the
 //! smallest still-failing case the shrinker found, so reproducing a
 //! failure is one copy-paste.
 //!
@@ -80,10 +81,77 @@ impl std::fmt::Write for Fnv {
     }
 }
 
-/// How many rounds the shrink loop runs before settling on the smallest
-/// reproduction found so far. Fixed so a pathological shrinker cannot
-/// spin a CI job forever.
-const SHRINK_ITERATIONS: usize = 64;
+/// Candidate evaluations the shrink loop may spend before settling on
+/// the smallest reproduction found so far. A budget of evaluations, not
+/// of rounds: a round that removes one element costs as much as one
+/// that removes half the case, and a slow property must not spin a CI
+/// job forever.
+pub const SHRINK_BUDGET: usize = 4096;
+
+/// Removal sizes for a list of `len` elements, biggest first: half
+/// (rounded up), then a quarter, and so on down to one element.
+fn cut_sizes(len: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors((len > 0).then_some(len.div_ceil(2)), |&size| {
+        (size > 1).then_some(size.div_ceil(2))
+    })
+}
+
+/// Shrink candidates for a list, biggest cuts first: the list without
+/// each aligned half, then without each aligned quarter, and so on down
+/// to the list without each single element. A case the shrink loop
+/// leaves at a fixed point is therefore 1-minimal: removing any one
+/// element makes it pass.
+#[allow(dead_code)] // Not every suite shrinks a list.
+pub fn shrink_list<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    let mut out = Vec::new();
+    for size in cut_sizes(items.len()) {
+        for start in (0..items.len()).step_by(size) {
+            let end = (start + size).min(items.len());
+            out.push([&items[..start], &items[end..]].concat());
+        }
+    }
+    out
+}
+
+/// Shrink candidates for a count of like items (requests, say): the
+/// lengths [`shrink_list`] would leave, smallest first.
+#[allow(dead_code)] // Not every suite shrinks a count.
+pub fn shrink_count(n: usize) -> Vec<usize> {
+    cut_sizes(n).map(|size| n - size).collect()
+}
+
+/// Walks `case`, which fails `property` with `failure`, toward the
+/// simplest case that still fails: the first candidate from `shrink`
+/// that fails (against one fresh state, warmed only by earlier
+/// candidates) becomes the new case, until no candidate fails or
+/// [`SHRINK_BUDGET`] evaluations are spent. Returns the smallest case,
+/// its failure, and the evaluations spent.
+pub fn shrink_failure<C, S>(
+    case: C,
+    failure: String,
+    shrink: impl Fn(&C) -> Vec<C>,
+    make_state: impl Fn() -> S,
+    property: impl Fn(&mut S, &C) -> Result<(), String>,
+) -> (C, String, usize) {
+    let mut state = make_state();
+    let (mut smallest, mut failure) = (case, failure);
+    let mut evaluations = 0;
+    'shrinking: loop {
+        for candidate in shrink(&smallest) {
+            if evaluations == SHRINK_BUDGET {
+                break 'shrinking;
+            }
+            evaluations += 1;
+            if let Err(msg) = property(&mut state, &candidate) {
+                smallest = candidate;
+                failure = msg;
+                continue 'shrinking;
+            }
+        }
+        break; // No simpler candidate fails: fixed point reached.
+    }
+    (smallest, failure, evaluations)
+}
 
 /// Cases per worker batch. A constant — not derived from `jobs` — so the
 /// state each case sees (its batch's fresh state, warmed by the batch's
@@ -94,11 +162,9 @@ const CASES_PER_BATCH: usize = 25;
 /// [`CASES_PER_BATCH`]-sized batches fanned across `jobs` worker
 /// threads. Cases are generated up front from one sequential `CaseRng`
 /// stream; each batch evaluates against a fresh state from
-/// `make_state`. On the earliest failing case the harness shrinks —
-/// `shrink` proposes simpler candidates, the first one that still fails
-/// (against a fresh state) becomes the new reproduction, for at most
-/// [`SHRINK_ITERATIONS`] rounds — and panics with the minimal case and
-/// both failure messages.
+/// `make_state`. On the earliest failing case the harness shrinks it
+/// ([`shrink_failure`]) and panics with the minimal case and both
+/// failure messages.
 #[allow(clippy::too_many_arguments)] // four scalar knobs + four closures; a config struct would obscure the call sites
 pub fn check_cases<C, S>(
     name: &str,
@@ -133,22 +199,13 @@ pub fn check_cases<C, S>(
     let Some((case_index, case, original_failure)) = failures.into_iter().flatten().next() else {
         return;
     };
-    // Shrink: walk toward the simplest case that still fails, against a
-    // state warmed only by earlier shrink candidates (fresh, like a
-    // batch head — reproducible by construction).
-    let mut state = make_state();
-    let mut smallest = case.clone();
-    let mut failure = original_failure.clone();
-    'shrinking: for _ in 0..SHRINK_ITERATIONS {
-        for candidate in shrink(&smallest) {
-            if let Err(msg) = property(&mut state, &candidate) {
-                smallest = candidate;
-                failure = msg;
-                continue 'shrinking;
-            }
-        }
-        break; // No simpler candidate fails: fixed point reached.
-    }
+    let (smallest, failure, _) = shrink_failure(
+        case.clone(),
+        original_failure.clone(),
+        shrink,
+        make_state,
+        property,
+    );
     panic!(
         "property '{name}' failed (seed {seed:#x}, case {case_index} of {cases})\n\
          original case: {case:?}\n  -> {original_failure}\n\

@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::{check_cases, CaseRng, Fnv};
+use common::{check_cases, shrink_list, CaseRng, Fnv};
 use samba_coe::models::table2;
 use sn_arch::{Bytes, Calibration, Flops, SocketSpec};
 use sn_compiler::executable::build_kernels;
@@ -739,19 +739,19 @@ fn generate(rng: &mut CaseRng) -> CompilerCase {
 }
 
 fn shrink(case: &CompilerCase) -> Vec<CompilerCase> {
-    let mut out = Vec::new();
-    for i in 0..case.layers.len() {
-        if case.layers.len() > 1 {
+    // A graph keeps at least one layer; a layer may lose every step.
+    let mut out: Vec<CompilerCase> = shrink_list(&case.layers)
+        .into_iter()
+        .filter(|layers| !layers.is_empty())
+        .map(|layers| CompilerCase {
+            layers,
+            ..case.clone()
+        })
+        .collect();
+    for (i, layer) in case.layers.iter().enumerate() {
+        for steps in shrink_list(&layer.steps) {
             let mut layers = case.layers.clone();
-            layers.remove(i);
-            out.push(CompilerCase {
-                layers,
-                ..case.clone()
-            });
-        }
-        for j in 0..case.layers[i].steps.len() {
-            let mut layers = case.layers.clone();
-            layers[i].steps.remove(j);
+            layers[i].steps = steps;
             out.push(CompilerCase {
                 layers,
                 ..case.clone()

@@ -1,5 +1,5 @@
-//! Determinism and serialization: the whole stack is seeded and
-//! reproducible, and its data structures round-trip through serde.
+//! Determinism: the whole stack is seeded and reproducible, and its
+//! data structures compare equal after a clone.
 
 use samba_coe::arch::prelude::*;
 use samba_coe::coe::{CoeCluster, ExpertLibrary, PromptGenerator, Router, SambaCoeNode};

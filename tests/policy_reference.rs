@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{check_cases, CaseRng};
+use common::{check_cases, shrink_list, CaseRng};
 use samba_coe::coe::placement::{ExpertStats, PrefetchPolicy};
 use samba_coe::coe::{KvStats, KvTouch, PagedKvCache, PagedKvConfig};
 use sn_arch::Bytes;
@@ -337,22 +337,13 @@ fn generate_serving(rng: &mut CaseRng) -> PolicyCase {
 }
 
 fn shrink(case: &PolicyCase) -> Vec<PolicyCase> {
-    let mut out = Vec::new();
-    if case.ops.len() > 1 {
-        out.push(PolicyCase {
-            ops: case.ops[..case.ops.len() / 2].to_vec(),
-            ..case.clone()
-        });
-    }
-    for i in 0..case.ops.len().min(32) {
-        let mut ops = case.ops.clone();
-        ops.remove(i);
-        out.push(PolicyCase {
+    shrink_list(&case.ops)
+        .into_iter()
+        .map(|ops| PolicyCase {
             ops,
             ..case.clone()
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Asserts every observable of the fast statistics equals the

@@ -7,7 +7,7 @@
 mod common;
 
 use common::topology::ClusterTopology;
-use common::{check_cases, CaseRng};
+use common::{check_cases, shrink_count, CaseRng};
 use samba_coe::coe::scheduler::{ArrivalProcess, OnlineReport, SchedulerConfig};
 use samba_coe::coe::{ExpertLibrary, Prompt, SambaCoeNode};
 use samba_coe::faults::{FaultPlan, FaultSite, FaultSpec, RetryPolicy};
@@ -210,20 +210,15 @@ fn gen_case(rng: &mut CaseRng) -> SchedCase {
     }
 }
 
-/// Shrinking halves each dimension and simplifies the arrival pattern to
-/// a burst — the scheduler's simplest regime.
+/// Shrinking drops requests (at least one stays), halves each other
+/// dimension and simplifies the arrival pattern to a burst — the
+/// scheduler's simplest regime.
 fn shrink_case(c: &SchedCase) -> Vec<SchedCase> {
-    let mut out = Vec::new();
-    if c.n_requests > 1 {
-        out.push(SchedCase {
-            n_requests: c.n_requests / 2,
-            ..*c
-        });
-        out.push(SchedCase {
-            n_requests: c.n_requests - 1,
-            ..*c
-        });
-    }
+    let mut out: Vec<SchedCase> = shrink_count(c.n_requests)
+        .into_iter()
+        .filter(|&n| n >= 1)
+        .map(|n_requests| SchedCase { n_requests, ..*c })
+        .collect();
     if c.output_tokens > 1 {
         out.push(SchedCase {
             output_tokens: c.output_tokens / 2,

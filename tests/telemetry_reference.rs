@@ -16,7 +16,7 @@
 mod common;
 
 use common::topology::ClusterTopology;
-use common::{check_cases, CaseRng};
+use common::{check_cases, shrink_count, shrink_list, CaseRng};
 use samba_coe::coe::scheduler::ArrivalPattern;
 use samba_coe::coe::{ClassPolicy, RateLimit, SloClass, TenancyConfig, TenancyReport, TenantSpec};
 use samba_coe::faults::{ChaosSchedule, FaultSite, FaultSpec};
@@ -687,15 +687,6 @@ fn draw_snapshot(rng: &mut CaseRng) -> BenchSnapshot {
     snap
 }
 
-/// Halves of a list, for the shrink loop.
-fn halves<T: Clone>(v: &[T]) -> Vec<Vec<T>> {
-    if v.is_empty() {
-        return Vec::new();
-    }
-    let mid = v.len() / 2;
-    vec![v[..mid].to_vec(), v[mid..].to_vec()]
-}
-
 /// What a written float reads back as: non-finite values are written as 0.
 fn as_written(x: f64) -> f64 {
     if x.is_finite() {
@@ -828,7 +819,7 @@ fn chrome_export_matches_the_reference_writer() {
         CHROME_SEED,
         JOBS,
         draw_events,
-        |events| halves(events),
+        |events| shrink_list(events),
         || (),
         |(), events| check_chrome(events),
     );
@@ -844,19 +835,19 @@ fn obs_export_matches_the_reference_writer() {
         draw_report,
         |report| {
             let mut out = Vec::new();
-            for series in halves(&report.series) {
+            for series in shrink_list(&report.series) {
                 out.push(ObsReport {
                     series,
                     ..report.clone()
                 });
             }
-            for alerts in halves(&report.alerts) {
+            for alerts in shrink_list(&report.alerts) {
                 out.push(ObsReport {
                     alerts,
                     ..report.clone()
                 });
             }
-            for postmortems in halves(&report.postmortems) {
+            for postmortems in shrink_list(&report.postmortems) {
                 out.push(ObsReport {
                     postmortems,
                     ..report.clone()
@@ -879,13 +870,13 @@ fn bench_snapshot_matches_the_reference_writer() {
         draw_snapshot,
         |snap| {
             let mut out = Vec::new();
-            for metrics in halves(&snap.metrics) {
+            for metrics in shrink_list(&snap.metrics) {
                 out.push(BenchSnapshot {
                     metrics,
                     info: snap.info.clone(),
                 });
             }
-            for info in halves(&snap.info) {
+            for info in shrink_list(&snap.info) {
                 out.push(BenchSnapshot {
                     metrics: snap.metrics.clone(),
                     info,
@@ -1007,10 +998,10 @@ fn shrink_observed_case(case: &ObservedCase) -> Vec<ObservedCase> {
             ..case.clone()
         })
         .collect();
-    for i in 0..case.requests.len() {
-        if case.requests[i] > 0 {
+    for (i, &n) in case.requests.iter().enumerate() {
+        for fewer in shrink_count(n) {
             let mut c = case.clone();
-            c.requests[i] /= 2;
+            c.requests[i] = fewer;
             out.push(c);
         }
     }

@@ -10,7 +10,7 @@
 mod common;
 
 use common::topology::ClusterTopology;
-use common::{check_cases, CaseRng};
+use common::{check_cases, shrink_count, CaseRng};
 use samba_coe::coe::scheduler::ArrivalPattern;
 use samba_coe::coe::{
     ClassPolicy, RateLimit, ScaleDecision, ShedReason, SloClass, TenancyConfig, TenantSpec,
@@ -172,15 +172,17 @@ fn shrink_case(case: &TenancyCase) -> Vec<TenancyCase> {
         c.topology = topology;
         out.push(c);
     }
-    if case.interactive_requests > 0 {
-        let mut c = case.clone();
-        c.interactive_requests /= 2;
-        out.push(c);
+    for interactive_requests in shrink_count(case.interactive_requests) {
+        out.push(TenancyCase {
+            interactive_requests,
+            ..case.clone()
+        });
     }
-    if case.batch_requests > 0 {
-        let mut c = case.clone();
-        c.batch_requests /= 2;
-        out.push(c);
+    for batch_requests in shrink_count(case.batch_requests) {
+        out.push(TenancyCase {
+            batch_requests,
+            ..case.clone()
+        });
     }
     if case.outage.is_some() {
         let mut c = case.clone();
